@@ -34,8 +34,8 @@ race:
 # batching at 1/8/64 writers, WAL-off vs WAL-on ingest; the WAL-disabled
 # hook path fails the run if it allocates at all)
 # and the kernel sweep writes BENCH_kernels.json (fused vs unfused GMM
-# E-step rows/sec, fused linalg helpers, steady-state engine predict
-# with allocs/op — pinned to exactly 0 by TestPredictZeroAlloc).
+# E-step rows/sec, steady-state engine predict with allocs/op — pinned
+# to exactly 0 by TestPredictZeroAlloc).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' .
 

@@ -247,7 +247,7 @@ func BenchmarkTable7_NNRealDatasets(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
+// --- Ablations (paper §VI-A2 and the GroupedGradient extension) -----------
 
 // The paper's §VI-A2 claim: sharing computation at the second layer costs
 // more than it saves, even when the activation is additive.
@@ -337,13 +337,6 @@ func BenchmarkJoinAccessPaths(b *testing.B) {
 				OnMatch: func(*storage.Tuple, int, []int) error { return nil },
 			})
 			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("index-probe", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := join.IndexedStream(spec, func(int64, []float64, float64) error { return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

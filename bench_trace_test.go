@@ -182,11 +182,12 @@ func BenchmarkPredictTraceOverhead(b *testing.B) {
 			return ctx, tr
 		}},
 	}
+	preds := make([]serve.Prediction, len(rows))
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			op := func() {
 				ctx, tr := tc.ctx()
-				preds, _, err := eng.PredictCtx(ctx, "bench-tr", rows)
+				_, err := eng.PredictIntoCtx(ctx, "bench-tr", rows, preds)
 				if err != nil {
 					b.Fatal(err)
 				}

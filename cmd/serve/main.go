@@ -25,7 +25,6 @@
 //	serve -db orders.db -dims synth_R1 -fact synth_S -refresh-rows 1000
 //	serve -db orders.db -dims synth_R1 -fact synth_S -wal-dir orders.wal
 //	serve -db orders.db -dims synth_R1 -max-inflight 8 -max-ingest-queue 32
-//	serve -db orders.db -dims synth_R1,synth_R2 -batch-window 2ms -max-batch 256
 //
 // Endpoints:
 //
@@ -57,13 +56,6 @@
 // -max-inflight / -max-ingest-queue, admission control rejects excess
 // load with structured 429 responses (error codes predict_overloaded /
 // ingest_overloaded, Retry-After header) before any work is admitted.
-//
-// With -batch-window, concurrent predict requests against the same model
-// are coalesced into one engine batch — flushed when the window elapses
-// or the batch reaches -max-batch rows — and the batcher's telemetry
-// shows up in /metrics and /statsz. Because rows are scored independently
-// in a fixed per-row order, coalescing never changes a single bit of any
-// response.
 //
 // Predictions are bit-identical for every -workers value; -dims must list
 // the DIRECT dimension tables in the join order used at training time —
@@ -101,9 +93,6 @@ func main() {
 	rebaseline := flag.Int("rebaseline-every", 0, "rebuild GMM statistics from scratch every Nth refresh (0 = only after dimension updates; needs -fact)")
 	refreshEpochs := flag.Int("refresh-epochs", 1, "warm-start SGD epochs per NN refresh (needs -fact)")
 	refreshLR := flag.Float64("refresh-lr", 0.05, "learning rate of NN refresh epochs (needs -fact)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce concurrent predict requests per model for this long before scoring them as one engine batch (0 = batching off); per-row results stay bit-identical")
-	maxBatch := flag.Int("max-batch", 0, "flush a coalesced batch early once it holds this many rows; single requests at or over the cap bypass the window (0 = window-only flush; needs -batch-window)")
-	float32Kernels := flag.Bool("float32", false, "store GMM kernel matrices as float32 (half the cache traffic, float64 accumulation, ≤1e-5 relative of the default); NN serving is unaffected")
 	maxInflight := flag.Int("max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
 	maxIngestQueue := flag.Int("max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
 	retryAfter := flag.Int("retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
@@ -145,14 +134,6 @@ func main() {
 	}
 	if *maxInflight < 0 || *maxIngestQueue < 0 || *retryAfter < 0 {
 		fmt.Fprintln(os.Stderr, "serve: -max-inflight, -max-ingest-queue and -retry-after must be >= 0")
-		os.Exit(2)
-	}
-	if *batchWindow < 0 || *maxBatch < 0 {
-		fmt.Fprintln(os.Stderr, "serve: -batch-window and -max-batch must be >= 0")
-		os.Exit(2)
-	}
-	if *batchWindow == 0 && *maxBatch > 0 {
-		fmt.Fprintln(os.Stderr, "serve: -max-batch needs -batch-window (dynamic batching)")
 		os.Exit(2)
 	}
 	if *traceSample <= 0 || *traceSample > 1 {
@@ -198,7 +179,6 @@ func main() {
 		refreshRows: *refreshRows, rebaseline: *rebaseline,
 		refreshEpochs: *refreshEpochs, refreshLR: *refreshLR,
 		maxInflight: *maxInflight, maxIngestQueue: *maxIngestQueue,
-		batchWindow: *batchWindow, maxBatch: *maxBatch, float32Kernels: *float32Kernels,
 		retryAfter: *retryAfter, metrics: *metricsOn,
 		trace: *traceOn, traceSample: *traceSample, traceSlowMS: *traceSlowMS,
 		debugAddr: *debugAddr, logger: logger,
@@ -218,9 +198,6 @@ type serveFlags struct {
 	refreshRows, rebaseline, refreshEpochs  int
 	refreshLR                               float64
 	maxInflight, maxIngestQueue, retryAfter int
-	batchWindow                             time.Duration
-	maxBatch                                int
-	float32Kernels                          bool
 	metrics                                 bool
 	trace                                   bool
 	traceSample                             float64
@@ -281,14 +258,11 @@ func run(cfg serveFlags) error {
 	opts := []factorml.ServerOption{
 		factorml.WithEngineConfig(factorml.ServeConfig{
 			NumWorkers: cfg.workers, CacheEntries: cfg.cacheEntries, BatchRows: cfg.batchRows,
-			Float32: cfg.float32Kernels,
 		}),
 		factorml.WithLimits(factorml.Limits{
 			MaxInFlightPerModel: cfg.maxInflight,
 			MaxQueuedIngest:     cfg.maxIngestQueue,
 			RetryAfterSeconds:   cfg.retryAfter,
-			BatchWindow:         cfg.batchWindow,
-			MaxBatchRows:        cfg.maxBatch,
 		}),
 	}
 	if cfg.metrics {
@@ -337,9 +311,6 @@ func run(cfg serveFlags) error {
 	}
 	if cfg.maxInflight > 0 || cfg.maxIngestQueue > 0 {
 		fmt.Printf("admission control: max-inflight=%d max-ingest-queue=%d\n", cfg.maxInflight, cfg.maxIngestQueue)
-	}
-	if cfg.batchWindow > 0 {
-		fmt.Printf("dynamic batching: batch-window=%s max-batch=%d\n", cfg.batchWindow, cfg.maxBatch)
 	}
 	if cfg.monitor {
 		fmt.Printf("health monitoring: drift-warn=%g drift-psi=%g staleness-max-rows=%d health-sample=%g\n",

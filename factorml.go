@@ -847,7 +847,7 @@ func GenerateRealShape(d *DB, name string, scale float64, seed int64) (*Dataset,
 
 // registry lazily opens the model registry of the database directory. The
 // registry loads every persisted model on first use and is shared by the
-// save/load methods and NewPredictionServer.
+// save/load methods and NewServer.
 func (d *DB) registry() (*serve.Registry, error) {
 	d.regOnce.Do(func() { d.reg, d.regErr = serve.NewRegistry(d.db) })
 	return d.reg, d.regErr
@@ -855,8 +855,8 @@ func (d *DB) registry() (*serve.Registry, error) {
 
 // SaveGMM persists a trained mixture model under a name in the database's
 // model registry (version 1, or a bumped version when the name exists).
-// Saved models survive Close/Open and are served by NewPredictionServer
-// and cmd/serve. The registry keeps a reference to the model; do not
+// Saved models survive Close/Open and are served by NewServer and
+// cmd/serve. The registry keeps a reference to the model; do not
 // mutate it afterwards.
 func (d *DB) SaveGMM(name string, m *GMMModel) error {
 	reg, err := d.registry()
@@ -1385,30 +1385,6 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 // this, then atomically swap in the real Server once NewServer returns —
 // cmd/serve does exactly that.
 func BootingHandler() http.Handler { return serve.BootingHandler() }
-
-// NewStreamingPredictionServer builds a prediction server with a live
-// change feed.
-//
-// Deprecated: use NewServer with WithStream (and optionally WithLimits,
-// WithMetrics), which also mounts POST /v1/refresh. This wrapper remains
-// for source compatibility and behaves identically otherwise.
-func NewStreamingPredictionServer(d *DB, fact string, dimTables []string, cfg ServeConfig, pol StreamPolicy) (http.Handler, *Stream, error) {
-	s, err := NewServer(d, dimTables, WithEngineConfig(cfg), WithStream(fact, pol))
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, s.Stream(), nil
-}
-
-// NewPredictionServer builds the factorized inference HTTP handler over
-// this database.
-//
-// Deprecated: use NewServer, which returns a *Server (an http.Handler)
-// and accepts WithLimits/WithMetrics. This wrapper remains for source
-// compatibility and behaves identically.
-func NewPredictionServer(d *DB, dimTables []string, cfg ServeConfig) (http.Handler, error) {
-	return NewServer(d, dimTables, WithEngineConfig(cfg))
-}
 
 // dimPlan expands the named direct dimension tables — and every
 // sub-dimension their catalog entries reference — into the flattened

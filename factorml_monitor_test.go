@@ -3,9 +3,14 @@ package factorml
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"factorml/internal/serve"
 )
 
 // buildMonitorDB creates a small star schema, trains a GMM over it and
@@ -277,5 +282,85 @@ func TestMonitoringEquivalence(t *testing.T) {
 
 	if h := srvOn.ModelHealth(); len(h) != 1 {
 		t.Fatalf("monitored server health: %+v", h)
+	}
+}
+
+// TestNaNPredictKeepsServerHealthy sends a one-row binary (FMB1) predict
+// whose fact feature is NaN to a server with monitoring on. The request
+// must not panic or drop the connection, the answer must be 200 or an
+// enveloped 4xx, /healthz must stay 200, and the model's prediction-
+// quality window must be left exactly as it was. The stream attaches the
+// model to the monitor, as cmd/serve -fact does.
+func TestNaNPredictKeepsServerHealthy(t *testing.T) {
+	db, _ := buildMonitorDB(t)
+	server, err := NewServer(db, []string{"items"},
+		WithEngineConfig(ServeConfig{NumWorkers: 1}),
+		WithStream("orders", StreamPolicy{NumWorkers: 1}),
+		WithMonitoring(MonitorConfig{MinWindowRows: 1}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server)
+	defer ts.Close()
+	post := func(ct string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/models/orders-gmm/predict", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("predict: %v", err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	qualityPSI := func() float64 {
+		t.Helper()
+		h := server.ModelHealth()
+		if len(h) != 1 {
+			t.Fatalf("ModelHealth() = %+v", h)
+		}
+		return h[0].QualityPSI
+	}
+
+	// A finite predict first, so the quality window holds evidence.
+	if code, body := post("application/json", []byte(`{"rows":[{"fact":[1.5],"fks":[3]}]}`)); code != 200 {
+		t.Fatalf("finite predict = %d %s", code, body)
+	}
+	before := qualityPSI()
+
+	body, err := serve.AppendBinaryRequest(nil, []serve.Row{{Fact: []float64{math.NaN()}, FKs: []int64{3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := post(serve.BinaryContentType, body)
+	switch {
+	case code == 200:
+	case code >= 400 && code < 500:
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(out, &env); err != nil || env.Error.Code == "" {
+			t.Fatalf("NaN predict = %d without an error envelope: %s", code, out)
+		}
+	default:
+		t.Fatalf("NaN predict = %d %s", code, out)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/healthz after NaN predict = %d", resp.StatusCode)
+	}
+	after := qualityPSI()
+	if math.IsNaN(after) || math.IsInf(after, 0) || after != before {
+		t.Fatalf("quality PSI %v after the NaN predict, %v before", after, before)
 	}
 }

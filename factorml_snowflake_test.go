@@ -110,7 +110,7 @@ func TestSnowflakeServingMatchesDense(t *testing.T) {
 	if err := db.SaveGMM("sf-gmm", gres.Model); err != nil {
 		t.Fatal(err)
 	}
-	handler, err := NewPredictionServer(db, []string{"items"}, ServeConfig{NumWorkers: 2})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestSnowflakeConcurrentServeIngestDimUpdate(t *testing.T) {
 	if err := db.SaveGMM("sf-gmm", gres.Model); err != nil {
 		t.Fatal(err)
 	}
-	handler, _, err := NewStreamingPredictionServer(db, "orders", []string{"items"},
-		ServeConfig{NumWorkers: 2}, StreamPolicy{RefreshRows: 40, NumWorkers: 1})
+	handler, err := NewServer(db, []string{"items"},
+		WithEngineConfig(ServeConfig{NumWorkers: 2}), WithStream("orders", StreamPolicy{RefreshRows: 40, NumWorkers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

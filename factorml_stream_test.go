@@ -91,7 +91,8 @@ func TestPublicAPIStreaming(t *testing.T) {
 	}
 
 	// The streaming server exposes ingest + stream stats over HTTP.
-	handler, _, err := NewStreamingPredictionServer(db, "orders", []string{"items"}, ServeConfig{NumWorkers: 1}, StreamPolicy{NumWorkers: 1})
+	handler, err := NewServer(db, []string{"items"},
+		WithEngineConfig(ServeConfig{NumWorkers: 1}), WithStream("orders", StreamPolicy{NumWorkers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

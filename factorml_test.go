@@ -270,7 +270,7 @@ func TestPublicAPIPredictionServer(t *testing.T) {
 	if err := db.SaveNN("retail-nn", nres.Net); err != nil {
 		t.Fatal(err)
 	}
-	handler, err := NewPredictionServer(db, []string{"items"}, ServeConfig{NumWorkers: 2})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@
 //     down by a factor for CI-sized runs. The environment is offline, so
 //     the real values are substituted by synthetic ones with the same
 //     shape; the training algorithms' costs depend on (nS, nR, dS, dR, rr),
-//     not on the feature values, so the performance geometry is preserved
-//     (see DESIGN.md §3).
+//     not on the feature values, so the performance geometry is preserved.
 //   - One-hot ("Sparse") encodings for the NN real-dataset experiments
 //     (Table VII).
 package data

@@ -19,8 +19,8 @@ var tableVIDatasets = []string{
 var tableVIIDatasets = []string{"WalmartSparse", "MoviesSparse", "Movies3waySparse"}
 
 // TableVI reproduces the GMM real-dataset comparison. Datasets are
-// simulated at the profile's RealScale (see DESIGN.md §3 for the
-// substitution rationale).
+// simulated at the profile's RealScale (the internal/data package doc
+// gives the substitution rationale).
 func (h *Harness) TableVI() ([]Row, error) {
 	var rows []Row
 	for _, name := range tableVIDatasets {

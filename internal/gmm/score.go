@@ -21,9 +21,6 @@ type Scorer struct {
 	p      core.Partition
 	states []compState
 	hot    *hotState
-	// hot32, when non-nil, routes scoring through the float32-storage
-	// kernel (NewScorerF32) instead of the float64 one.
-	hot32 *hotState32
 }
 
 // NewScorer precomputes the blocked inverse covariances for scoring over
@@ -38,22 +35,6 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 		return nil, err
 	}
 	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states)}, nil
-}
-
-// NewScorerF32 is NewScorer with float32 storage for the per-component
-// matrices and float64 accumulation — the opt-in bandwidth-saving path of
-// the raw-speed pass. Log-densities differ from NewScorer's by the float32
-// rounding of the matrices (≤1e-5 relative for well-conditioned models,
-// pinned by TestFloat32ScorerAccuracy); the evaluation stays fixed-order
-// deterministic. Use only where the bit-identical float64 guarantees are
-// not required.
-func (m *Model) NewScorerF32(p core.Partition) (*Scorer, error) {
-	s, err := m.NewScorer(p)
-	if err != nil {
-		return nil, err
-	}
-	s.hot32 = buildHot32(s.hot)
-	return s, nil
 }
 
 // K returns the number of mixture components (the length FillDimCaches
@@ -109,10 +90,6 @@ func (s *Scorer) NewScratch() *ScoreScratch {
 func (s *Scorer) scoreComponents(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch) {
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))
-	}
-	if s.hot32 != nil {
-		s.hot32.scoreRow(xs, caches, sc.pds, sc.logp, &sc.Ops)
-		return
 	}
 	s.hot.scoreRow(xs, caches, sc.pds, sc.logp, &sc.Ops)
 }

@@ -283,7 +283,7 @@ func (m *Monitor) NoteRefresh(name string, version int, strategy string, totalRo
 }
 
 func reset(s *Sketch) {
-	s.Count, s.Mean, s.M2, s.Min, s.Max = 0, 0, 0, 0, 0
+	s.Count, s.Mean, s.M2, s.Min, s.Max, s.NonFinite = 0, 0, 0, 0, 0, 0
 	for i := range s.Bins {
 		s.Bins[i] = 0
 	}

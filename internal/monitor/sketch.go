@@ -15,6 +15,9 @@ import (
 // Bins[0] counts values below Lo, Bins[len-1] counts values at or
 // above Hi, and the len(Bins)-2 interior bins split [Lo, Hi) evenly.
 // The zero Sketch (no bins) is a valid moments-only sketch.
+//
+// NaN and ±Inf observations are counted in NonFinite and touch neither
+// the moments nor the histogram, so no input can poison a sketch.
 type Sketch struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -24,6 +27,8 @@ type Sketch struct {
 	Lo    float64 `json:"lo"` // lower edge of the interior histogram range
 	Hi    float64 `json:"hi"` // upper edge of the interior histogram range
 	Bins  []int64 `json:"bins,omitempty"`
+	// NonFinite counts the NaN and ±Inf values Observe skipped.
+	NonFinite int64 `json:"non_finite,omitempty"`
 }
 
 // DefaultBins is the interior histogram resolution used when a caller
@@ -55,8 +60,13 @@ func (s *Sketch) EmptyCopy() *Sketch {
 	return c
 }
 
-// Observe folds one value into the sketch: O(1), no allocations.
+// Observe folds one value into the sketch: O(1), no allocations. A
+// non-finite value is only counted in NonFinite.
 func (s *Sketch) Observe(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		s.NonFinite++
+		return
+	}
 	s.Count++
 	if s.Count == 1 {
 		s.Min, s.Max = x, x
@@ -100,13 +110,18 @@ func (s *Sketch) Variance() float64 {
 // observing both input streams, and same-layout histograms add
 // bin-wise. Histograms with different layouts cannot merge.
 func (s *Sketch) Merge(o *Sketch) error {
-	if o == nil || o.Count == 0 {
+	if o == nil {
+		return nil
+	}
+	if o.Count == 0 {
+		s.NonFinite += o.NonFinite
 		return nil
 	}
 	if len(s.Bins) != len(o.Bins) || (len(s.Bins) > 0 && (s.Lo != o.Lo || s.Hi != o.Hi)) {
 		return fmt.Errorf("monitor: cannot merge sketches with different bin layouts ([%g,%g)x%d vs [%g,%g)x%d)",
 			s.Lo, s.Hi, len(s.Bins), o.Lo, o.Hi, len(o.Bins))
 	}
+	s.NonFinite += o.NonFinite
 	if s.Count == 0 {
 		s.Count, s.Mean, s.M2, s.Min, s.Max = o.Count, o.Mean, o.M2, o.Min, o.Max
 		copy(s.Bins, o.Bins)

@@ -154,3 +154,40 @@ func TestObserveAllocFree(t *testing.T) {
 		t.Fatalf("Observe allocated %v times per run, want 0", allocs)
 	}
 }
+
+func TestSketchObserveNonFinite(t *testing.T) {
+	s := NewSketch(0, 10, 10)
+	s.Observe(3)
+	want := cloneSketch(s)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s.Observe(x)
+	}
+	if s.NonFinite != 3 {
+		t.Fatalf("NonFinite = %d, want 3", s.NonFinite)
+	}
+	s.NonFinite = 0
+	if s.Count != want.Count || s.Mean != want.Mean || s.M2 != want.M2 || s.Min != want.Min || s.Max != want.Max {
+		t.Fatalf("non-finite values touched the moments: %+v, want %+v", s, want)
+	}
+	for i := range s.Bins {
+		if s.Bins[i] != want.Bins[i] {
+			t.Fatalf("non-finite values touched bin %d: %v, want %v", i, s.Bins, want.Bins)
+		}
+	}
+
+	// Merge carries the counter, also from a sketch that saw only
+	// non-finite values.
+	a, b, c := NewSketch(0, 10, 10), NewSketch(0, 10, 10), NewSketch(0, 10, 10)
+	a.Observe(math.NaN())
+	b.Observe(1)
+	b.Observe(math.Inf(1))
+	c.Observe(math.Inf(-1))
+	for _, o := range []*Sketch{b, c} {
+		if err := a.Merge(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.NonFinite != 3 || a.Count != 1 || a.Mean != 1 {
+		t.Fatalf("merged sketch = %+v, want NonFinite 3 over one finite value", a)
+	}
+}

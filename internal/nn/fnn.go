@@ -20,7 +20,7 @@ import (
 // directly from the base relations (§VI-A3). With cfg.ShareLayer2 (and the
 // Identity activation) the §VI-A2 second-layer sharing scheme is used, and
 // with cfg.GroupedGradient the layer-1 dimension gradient is accumulated
-// per group (DESIGN.md §6 extensions). All variants are exact: the trained
+// per group (an extension beyond the paper). All variants are exact: the trained
 // network matches TrainM/TrainS.
 func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -141,7 +141,7 @@ func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
 
 // trainFactorized dispatches to the chunked-parallel implementation, except
 // under the GroupedGradient extension, whose sparse per-group accumulators
-// are a sequential cost-model study (DESIGN.md §6) and stay on the legacy
+// are a sequential cost-model study and stay on the legacy
 // loop for every NumWorkers value.
 func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
 	if cfg.GroupedGradient {

@@ -160,7 +160,7 @@ type Config struct {
 	// trainer reads a fixed T and rejects it.
 	ShuffleSeed int64
 
-	// GroupedGradient enables the extension of DESIGN.md §6: the layer-1
+	// GroupedGradient enables an extension beyond the paper: the layer-1
 	// weight gradient for dimension features is accumulated per dimension
 	// tuple (Σ δ grouped, then one outer product per group) instead of per
 	// joined tuple. Exact; changes operation counts only. F-NN only.

@@ -58,15 +58,6 @@ type EngineConfig struct {
 	// DefaultBatchRows. The chunk geometry depends only on this knob and
 	// the batch size, never on NumWorkers.
 	BatchRows int
-
-	// Float32 selects float32 storage for the GMM scoring kernel's
-	// per-component matrices (means, blocked inverse covariances) with
-	// float64 accumulation — roughly halving the kernel's memory traffic at
-	// a bounded accuracy cost (≤1e-5 relative on log-densities for
-	// well-conditioned models; see gmm.NewScorerF32). Off by default: the
-	// float64 path is the one covered by the bit-identical equivalence
-	// guarantees. NN models are unaffected.
-	Float32 bool
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
@@ -296,13 +287,7 @@ func (e *Engine) state(name string) (*modelState, error) {
 	case KindNN:
 		st.net = ent.nn
 	case KindGMM:
-		var scorer *gmm.Scorer
-		var err error
-		if e.cfg.Float32 {
-			scorer, err = ent.gmm.NewScorerF32(p)
-		} else {
-			scorer, err = ent.gmm.NewScorer(p)
-		}
+		scorer, err := ent.gmm.NewScorer(p)
 		if err != nil {
 			return nil, err
 		}
@@ -419,25 +404,26 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 	out.LogProb, out.Cluster = st.scorer.Score(row.Fact, sc.qcaches, sc.gsc)
 }
 
-// Predict scores a batch of rows against the named model. The batch is cut
-// into fixed-size chunks (EngineConfig.BatchRows) and fanned across the
-// worker pool; each prediction lands at its row's index, so the response
-// order — and, because every cached partial is pure, every floating-point
-// result — is bit-identical for any worker count. Per-row failures are
-// reported in Prediction.Err without failing the batch; batch-level
-// failures (unknown model, model/table shape mismatch) return an error.
-func (e *Engine) Predict(name string, rows []Row) ([]Prediction, ModelInfo, error) {
-	return e.PredictCtx(context.Background(), name, rows)
+// scoreChunk scores rows[s:end] into out[s:end] under one "engine.chunk"
+// span — the per-chunk body shared by the inline and fanned-out paths of
+// PredictIntoCtx.
+func (e *Engine) scoreChunk(st *modelState, sc *predScratch, rows []Row, out []Prediction, s, end int, esp trace.Span) {
+	csp := esp.Child("engine.chunk")
+	if csp.Active() {
+		csp.SetInt("row_start", int64(s))
+		csp.SetInt("rows", int64(end-s))
+	}
+	for i := s; i < end; i++ {
+		e.scoreRow(st, sc, &rows[i], &out[i], csp)
+	}
+	csp.End()
 }
 
-// PredictCtx is Predict with request-trace propagation: when ctx
-// carries a sampled trace (internal/trace), the batch records an
-// "engine.predict" span, one "engine.chunk" span per worker chunk and
-// one "cache.lookup" span per dimension probe. On an untraced context
-// the span calls are no-ops and the hot path allocates nothing extra.
-func (e *Engine) PredictCtx(ctx context.Context, name string, rows []Row) ([]Prediction, ModelInfo, error) {
+// Predict scores a batch of rows against the named model into a fresh
+// result slice; see PredictIntoCtx.
+func (e *Engine) Predict(name string, rows []Row) ([]Prediction, ModelInfo, error) {
 	out := make([]Prediction, len(rows))
-	info, err := e.PredictIntoCtx(ctx, name, rows, out)
+	info, err := e.PredictInto(name, rows, out)
 	if err != nil {
 		return nil, ModelInfo{}, err
 	}
@@ -449,15 +435,25 @@ func (e *Engine) PredictInto(name string, rows []Row, out []Prediction) (ModelIn
 	return e.PredictIntoCtx(context.Background(), name, rows, out)
 }
 
-// PredictIntoCtx is PredictCtx writing into a caller-owned result slice
-// (len(out) must equal len(rows); every element is overwritten) — the
-// zero-allocation variant the HTTP layer's pooled response buffers drive.
-// With one worker the chunk loop runs inline on the calling goroutine —
-// no fan-out machinery, no closures, nothing on the heap — and the steady
-// state (warm dimension caches, pooled scratch) performs zero allocations
-// per call, pinned by TestPredictZeroAlloc. The chunk geometry and
-// per-row arithmetic are identical to the fanned-out path, so results are
-// bit-identical for every worker count.
+// PredictIntoCtx scores a batch of rows against the named model into a
+// caller-owned result slice (len(out) must equal len(rows); every element
+// is overwritten). The batch is cut into fixed-size chunks
+// (EngineConfig.BatchRows); each prediction lands at its row's index, so
+// the response order — and, because every cached partial is pure, every
+// floating-point result — is bit-identical for any worker count. Per-row
+// failures are reported in Prediction.Err without failing the batch;
+// batch-level failures (unknown model, model/table shape mismatch) return
+// an error.
+//
+// A batch of one chunk, or any batch at one worker, runs its chunks
+// inline on the calling goroutine — no fan-out machinery, no closures,
+// nothing on the heap — and the steady state (warm dimension caches,
+// pooled scratch) performs zero allocations per call, pinned by
+// TestPredictZeroAlloc. Larger batches fan their chunks across the worker
+// pool. When ctx carries a sampled trace (internal/trace), the batch
+// records an "engine.predict" span, one "engine.chunk" span per chunk and
+// one "cache.lookup" span per dimension probe; on an untraced context the
+// span calls are no-ops.
 func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, out []Prediction) (ModelInfo, error) {
 	if len(out) != len(rows) {
 		return ModelInfo{}, fmt.Errorf("serve: result buffer has %d slots for %d rows", len(out), len(rows))
@@ -484,47 +480,23 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 	if nw <= 1 {
 		sc := st.scratch.Get().(*predScratch)
 		for s := 0; s < len(rows); s += batch {
-			end := s + batch
-			if end > len(rows) {
-				end = len(rows)
-			}
-			csp := esp.Child("engine.chunk")
-			if csp.Active() {
-				csp.SetInt("row_start", int64(s))
-				csp.SetInt("rows", int64(end-s))
-			}
-			for i := s; i < end; i++ {
-				e.scoreRow(st, sc, &rows[i], &out[i], csp)
-			}
-			csp.End()
+			e.scoreChunk(st, sc, rows, out, s, min(s+batch, len(rows)), esp)
 		}
 		st.scratch.Put(sc)
 	} else {
 		err = parallel.Run(nw,
 			func(f *parallel.Feed[[2]int]) error {
 				for s := 0; s < len(rows); s += batch {
-					end := s + batch
-					if end > len(rows) {
-						end = len(rows)
-					}
-					if err := f.Emit([2]int{s, end}); err != nil {
+					if err := f.Emit([2]int{s, min(s+batch, len(rows))}); err != nil {
 						return err
 					}
 				}
 				return nil
 			},
 			func(rg [2]int) (struct{}, error) {
-				csp := esp.Child("engine.chunk")
-				if csp.Active() {
-					csp.SetInt("row_start", int64(rg[0]))
-					csp.SetInt("rows", int64(rg[1]-rg[0]))
-				}
 				sc := st.scratch.Get().(*predScratch)
-				for i := rg[0]; i < rg[1]; i++ {
-					e.scoreRow(st, sc, &rows[i], &out[i], csp)
-				}
+				e.scoreChunk(st, sc, rows, out, rg[0], rg[1], esp)
 				st.scratch.Put(sc)
-				csp.End()
 				return struct{}{}, nil
 			},
 			nil)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"time"
 
 	"factorml/internal/api"
 )
@@ -29,21 +28,6 @@ type Limits struct {
 	// RetryAfterSeconds is the Retry-After hint carried by 429/503
 	// responses. 0 selects api.DefaultRetryAfterSeconds.
 	RetryAfterSeconds int
-
-	// BatchWindow, when positive, enables dynamic cross-request batching:
-	// the first predict request against a model opens a batch and waits up
-	// to this long for concurrent requests to coalesce into one engine
-	// call (see batcher.go). Per-row results are bit-identical to
-	// unbatched serving — batching trades bounded added latency for
-	// amortized per-batch overhead. 0 disables batching.
-	BatchWindow time.Duration
-
-	// MaxBatchRows caps a coalescing batch: a batch reaching this many
-	// rows flushes immediately instead of waiting out the window, and a
-	// single request at or over the cap bypasses the batcher entirely.
-	// 0 = no cap (batches flush on the window alone). Only meaningful
-	// with BatchWindow > 0.
-	MaxBatchRows int
 }
 
 func (l Limits) retryAfter() int {

@@ -7,9 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"factorml/internal/serve"
 )
@@ -78,78 +76,6 @@ func toJSONRows(rows []serve.Row) []map[string]any {
 		out[i] = map[string]any{"fact": r.Fact, "fks": r.FKs}
 	}
 	return out
-}
-
-// TestBatchingEquivalence drives concurrent small predict requests
-// through a batching server at workers {1,4} and pins every row's result
-// bit-identical to the unbatched engine's answer for the same row — the
-// purity guarantee dynamic coalescing rests on. Run under -race this also
-// exercises the batcher's flush/timer races.
-func TestBatchingEquivalence(t *testing.T) {
-	db, spec := testStar(t, t.TempDir())
-	defer db.Close()
-	_, model := trainModels(t, db, spec)
-	rows, _ := factRows(t, spec, 48)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			reg, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: workers})
-			if err := reg.SaveGMM("m", model); err != nil {
-				t.Fatal(err)
-			}
-			// Reference: unbatched, straight through the engine.
-			want, _, err := eng.Predict("m", rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := serve.NewServer(eng, serve.WithLimits(serve.Limits{
-				BatchWindow:  2 * time.Millisecond,
-				MaxBatchRows: 16,
-			}))
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-			// Fire one concurrent request per 3-row slice so the window
-			// genuinely coalesces neighbors.
-			const per = 3
-			var wg sync.WaitGroup
-			errs := make(chan error, len(rows)/per+1)
-			for s := 0; s < len(rows); s += per {
-				end := s + per
-				if end > len(rows) {
-					end = len(rows)
-				}
-				wg.Add(1)
-				go func(s, end int) {
-					defer wg.Done()
-					payload, status := predictJSON(t, ts.URL, "m", rows[s:end])
-					if status != http.StatusOK {
-						errs <- fmt.Errorf("rows [%d,%d): status %d", s, end, status)
-						return
-					}
-					preds := payload["predictions"].([]any)
-					if len(preds) != end-s {
-						errs <- fmt.Errorf("rows [%d,%d): %d predictions", s, end, len(preds))
-						return
-					}
-					for i, pv := range preds {
-						p := pv.(map[string]any)
-						lp := p["log_prob"].(float64)
-						cl := int(p["cluster"].(float64))
-						w := want[s+i]
-						if math.Float64bits(lp) != math.Float64bits(w.LogProb) || cl != w.Cluster {
-							errs <- fmt.Errorf("row %d: batched (%v,%d) != unbatched (%v,%d)",
-								s+i, lp, cl, w.LogProb, w.Cluster)
-							return
-						}
-					}
-				}(s, end)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
-	}
 }
 
 // TestBinaryWireEquivalence pins the binary predict path bit-identical
@@ -238,37 +164,5 @@ func TestBinaryWireEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFloat32EngineOptIn exercises the Float32 engine flag end to end:
-// the float32-storage GMM kernel serves answers within 1e-5 relative of
-// the float64 engine's for every row.
-func TestFloat32EngineOptIn(t *testing.T) {
-	db, spec := testStar(t, t.TempDir())
-	defer db.Close()
-	_, model := trainModels(t, db, spec)
-	rows, _ := factRows(t, spec, 32)
-	reg64, eng64 := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1})
-	if err := reg64.SaveGMM("m", model); err != nil {
-		t.Fatal(err)
-	}
-	reg32, eng32 := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1, Float32: true})
-	if err := reg32.SaveGMM("m", model); err != nil {
-		t.Fatal(err)
-	}
-	p64, _, err := eng64.Predict("m", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p32, _, err := eng32.Predict("m", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p64 {
-		d := math.Abs(p32[i].LogProb - p64[i].LogProb)
-		if d > 1e-5*math.Max(1, math.Abs(p64[i].LogProb)) {
-			t.Errorf("row %d: float32 log-prob %v vs float64 %v (diff %g)", i, p32[i].LogProb, p64[i].LogProb, d)
-		}
 	}
 }

@@ -51,10 +51,6 @@ type Server struct {
 	// Limits.MaxInFlightPerModel is 0).
 	predictLims *modelLimiters
 
-	// batchers coalesces concurrent predict requests per model (nil when
-	// Limits.BatchWindow is 0).
-	batchers *batcherSet
-
 	// Metrics instruments (nil without WithMetrics). Updated with atomics
 	// only — the registry lock is never taken on the request path.
 	mreg       *metrics.Registry
@@ -132,9 +128,6 @@ func NewServer(eng *Engine, opts ...Option) *Server {
 		opt(s)
 	}
 	s.predictLims = newModelLimiters(s.limits.MaxInFlightPerModel)
-	if s.limits.BatchWindow > 0 {
-		s.batchers = newBatcherSet(eng, s.limits.BatchWindow, s.limits.MaxBatchRows)
-	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -156,12 +149,6 @@ func NewServer(eng *Engine, opts ...Option) *Server {
 			"Requests rejected by admission control before any work was admitted.", "endpoint", "reason")
 		s.mreg.Collect(EngineCollector(s.eng))
 		s.mreg.Collect(BuildInfoCollector(s.start))
-		if s.batchers != nil {
-			s.batchers.sizeHist = s.mreg.HistogramVec("factorml_batch_size",
-				"Rows per coalesced engine batch, by model.",
-				[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}, "model")
-			s.mreg.Collect(s.batchers.Collector())
-		}
 		if s.mon != nil {
 			s.mreg.Collect(s.mon.MetricsCollector())
 		}
@@ -416,7 +403,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds float64   `json:"uptime_seconds"`
 		Build         BuildInfo `json:"build"`
 		Trace         any       `json:"trace,omitempty"`
-		Batching      any       `json:"batching,omitempty"`
 		Stream        any       `json:"stream,omitempty"`
 		Planner       any       `json:"planner,omitempty"`
 		WAL           any       `json:"wal,omitempty"`
@@ -428,9 +414,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.tracer != nil {
 		payload.Trace = s.tracer.Stats()
-	}
-	if s.batchers != nil {
-		payload.Batching = s.batchers.stats()
 	}
 	if s.mon != nil {
 		payload.Health = s.mon.HealthAll()
@@ -611,19 +594,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = bufs.rows
 	}
-	// Score: through the batcher when coalescing is on and the request is
-	// small enough to benefit (a request at or over the batch cap would
-	// flush alone anyway — it goes straight to the engine with its own
-	// context), otherwise directly into the pooled result buffer.
-	var preds []Prediction
-	var info ModelInfo
-	var err error
-	if s.batchers != nil && (s.limits.MaxBatchRows <= 0 || len(rows) < s.limits.MaxBatchRows) {
-		preds, info, err = s.batchers.submit(name, rows)
-	} else {
-		preds = bufs.sizedPreds(len(rows))
-		info, err = s.eng.PredictIntoCtx(r.Context(), name, rows, preds)
-	}
+	preds := bufs.sizedPreds(len(rows))
+	info, err := s.eng.PredictIntoCtx(r.Context(), name, rows, preds)
 	if err != nil {
 		switch {
 		case IsUnknownModel(err):

@@ -39,10 +39,6 @@ if "$tmp/loadgen" -url http://x -model m -wire msgpack 2>"$tmp/err"; then
     echo "loadgen accepted a bad -wire" >&2; exit 1
 fi
 grep -q 'wire must be json, binary or both' "$tmp/err"
-if "$tmp/serve" -db x -dims d -max-batch 8 2>"$tmp/err"; then
-    echo "serve accepted -max-batch without -batch-window" >&2; exit 1
-fi
-grep -q 'max-batch needs -batch-window' "$tmp/err"
 
 echo "== generating tiny synthetic star schema"
 "$tmp/datagen" -db "$tmp/db" -ns 500 -nr 20 -ds 3 -dr 3 -seed 1
