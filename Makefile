@@ -7,7 +7,7 @@ GO ?= go
 # scripts/check_coverage.sh; raised with the monitoring PR).
 COVERAGE_BASELINE ?= 71.0
 
-.PHONY: all build test race bench cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build test race bench cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke perfbench-test perf fmt vet ci
 
 all: build
 
@@ -80,6 +80,17 @@ crash-smoke:
 snowflake-smoke:
 	$(GO) run ./examples/snowflake
 
+# Repo benchmark self-test: the perfbench module's own tests, which run
+# shrunken copies of the workloads end to end (~30 s on 2 CPUs).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+# Repo benchmark: runs the workloads BENCHMARK.json declares and prints
+# one JSON result line per run. Pass flags through PERF_ARGS, e.g.
+#   make perf PERF_ARGS="--workload serve-predict --seed 1 --seconds 10"
+perf:
+	python3 perfbench/run.py $(PERF_ARGS)
+
 # Coverage gate: run the tests with -coverprofile and fail when total
 # statement coverage drops below COVERAGE_BASELINE. CI uploads
 # coverage.out as an artifact.
@@ -98,4 +109,4 @@ vet:
 
 # cover runs before bench so the BENCH_*.json files the benchmarks write
 # (with ns/op filled in) are the ones left on disk.
-ci: fmt vet build race cover bench serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke
+ci: fmt vet build race cover perfbench-test bench serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke

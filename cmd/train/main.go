@@ -198,22 +198,18 @@ func run(dbDir, fact, dims, model, algo string, k, iters int, tol float64,
 			pl.Chosen, float64(best.Ops.Total())/1e6, best.Pages, best.Score)
 	}
 
-	// A saved model carries training lineage: one extra streaming pass
-	// over the join captures the per-column baseline statistics (plus a
+	// A saved model carries training lineage: two extra streaming passes
+	// over the join capture the per-column baseline statistics (plus a
 	// per-row quality baseline) that the serve command's health monitor
-	// scores live drift against.
+	// scores live drift against. monitor.CaptureLineage is the same
+	// builder the facade's GMMLineage/NNLineage use.
 	strategyName := map[string]string{"m": "materialized", "s": "streaming", "f": "factorized"}
 	captureLineage := func(score func(x []float64, y float64) float64, metric string) (*monitor.Lineage, error) {
-		base, err := monitor.CaptureBaseline(spec, 0, score, metric)
+		lin, err := monitor.CaptureLineage(spec, strategyName[algo], score, metric)
 		if err != nil {
 			return nil, fmt.Errorf("capturing training baseline: %w", err)
 		}
-		return &monitor.Lineage{
-			TrainedAtUnix: base.CapturedAtUnix,
-			TrainingRows:  base.Rows,
-			Strategy:      strategyName[algo],
-			Baseline:      base,
-		}, nil
+		return lin, nil
 	}
 
 	saveModel := func(kind string, doSave func(*serve.Registry) error) error {
@@ -261,7 +257,11 @@ func run(dbDir, fact, dims, model, algo string, k, iters int, tol float64,
 		fmt.Printf("  multiplies:     %d\n", res.Stats.Ops.Mul)
 		fmt.Printf("  page IO:        %v\n", res.Stats.IO)
 		return saveModel("gmm", func(reg *serve.Registry) error {
-			lin, err := captureLineage(func(x []float64, y float64) float64 { return res.Model.LogProb(x) }, "log_likelihood")
+			score, err := res.Model.RowScorer()
+			if err != nil {
+				return err
+			}
+			lin, err := captureLineage(func(x []float64, _ float64) float64 { lp, _ := score(x); return lp }, "log_likelihood")
 			if err != nil {
 				return err
 			}

@@ -108,8 +108,12 @@ func main() {
 	// Purity: how well the soft clusters recover the generating archetypes.
 	assign := make(map[[2]int]int)
 	i := 0
+	score, err := res.Model.RowScorer()
+	if err != nil {
+		log.Fatal(err)
+	}
 	err = ds.Stream(func(sid int64, x []float64, _ float64) error {
-		k := res.Model.Predict(x)
+		_, k := score(x)
 		assign[[2]int{k, truth[i]}]++
 		i++
 		return nil

@@ -880,37 +880,25 @@ func (d *DB) SaveNN(name string, n *NNNetwork) error {
 // the dataset: two streaming passes over the join snapshot per-column
 // distribution statistics plus a per-row log-likelihood baseline, the
 // reference every later drift and prediction-quality score compares
-// against. Pass the result to SaveGMMLineage (and a health monitor picks
-// it up from the registry).
+// against. Rows are scored through one RowScorer (the fused kernel the
+// server's live quality sketch uses), built once per capture. Pass the
+// result to SaveGMMLineage (and a health monitor picks it up from the
+// registry).
 func GMMLineage(ds *Dataset, m *GMMModel, strategy string) (*ModelLineage, error) {
-	base, err := monitor.CaptureBaseline(ds.spec, 0,
-		func(x []float64, y float64) float64 { return m.LogProb(x) }, "log_likelihood")
+	score, err := m.RowScorer()
 	if err != nil {
 		return nil, err
 	}
-	return &ModelLineage{
-		TrainedAtUnix: base.CapturedAtUnix,
-		TrainingRows:  base.Rows,
-		Strategy:      strategy,
-		Baseline:      base,
-	}, nil
+	return monitor.CaptureLineage(ds.spec, strategy,
+		func(x []float64, _ float64) float64 { lp, _ := score(x); return lp }, "log_likelihood")
 }
 
 // NNLineage captures training lineage for a network just trained over
 // the dataset; the quality baseline sketches the network's output
 // distribution. See GMMLineage.
 func NNLineage(ds *Dataset, n *NNNetwork, strategy string) (*ModelLineage, error) {
-	base, err := monitor.CaptureBaseline(ds.spec, 0,
-		func(x []float64, y float64) float64 { return n.Predict(x) }, "output")
-	if err != nil {
-		return nil, err
-	}
-	return &ModelLineage{
-		TrainedAtUnix: base.CapturedAtUnix,
-		TrainingRows:  base.Rows,
-		Strategy:      strategy,
-		Baseline:      base,
-	}, nil
+	return monitor.CaptureLineage(ds.spec, strategy,
+		func(x []float64, _ float64) float64 { return n.Predict(x) }, "output")
 }
 
 // SaveGMMLineage is SaveGMM with training lineage persisted alongside

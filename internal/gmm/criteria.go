@@ -30,9 +30,16 @@ func (m *Model) AIC(logLikelihood float64, diagonal bool) float64 {
 
 // Score streams the join and returns the total log-likelihood of the data
 // under the model together with the row count, without materializing.
+// Rows are scored through one RowScorer, so the covariances are factorized
+// once per call, not once per row.
 func (m *Model) Score(spec *join.Spec) (ll float64, n int64, err error) {
+	score, err := m.RowScorer()
+	if err != nil {
+		return 0, 0, err
+	}
 	err = join.Stream(spec, func(_ int64, x []float64, _ float64) error {
-		ll += m.LogProb(x)
+		lp, _ := score(x)
+		ll += lp
 		n++
 		return nil
 	})

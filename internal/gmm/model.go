@@ -152,7 +152,10 @@ func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error)
 	return states, nil
 }
 
-// LogProb returns ln p(x) under the mixture.
+// LogProb returns ln p(x) under the mixture. Each call factorizes all K
+// covariances (O(K·D³)) before the O(K·D²) evaluation: it is the dense
+// reference the factorized scorers are tested against. Per-row loops
+// should score through RowScorer or NewScorer, which factorize once.
 func (m *Model) LogProb(x []float64) float64 {
 	if len(x) != m.D {
 		panic(fmt.Sprintf("gmm: point has dim %d, model has %d", len(x), m.D))
@@ -170,7 +173,9 @@ func (m *Model) LogProb(x []float64) float64 {
 	return linalg.LogSumExp(lp)
 }
 
-// Responsibilities returns γ_k(x) = p(z = k | x) for a single point.
+// Responsibilities returns γ_k(x) = p(z = k | x) for a single point. Like
+// LogProb it factorizes all K covariances (O(K·D³)) on every call and is
+// the dense reference; per-row loops should use NewScorer.
 func (m *Model) Responsibilities(x []float64) []float64 {
 	states, err := m.precompute(core.NewPartition([]int{m.D}), false)
 	if err != nil {
@@ -194,7 +199,10 @@ func (m *Model) Responsibilities(x []float64) []float64 {
 	return out
 }
 
-// Predict returns the index of the most responsible component for x.
+// Predict returns the index of the most responsible component for x. It
+// goes through Responsibilities, so each call factorizes all K
+// covariances (O(K·D³)); it is the dense reference, and per-row loops
+// should use RowScorer or NewScorer.
 func (m *Model) Predict(x []float64) int {
 	r := m.Responsibilities(x)
 	best := 0

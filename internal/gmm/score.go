@@ -37,6 +37,28 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states)}, nil
 }
 
+// RowScorer returns a function that scores assembled joined vectors
+// (length D): ln p(x) and the most responsible component, as
+// Model.LogProb and Model.Predict do, but through one Scorer over the
+// single-part partition, so the K covariances are factorized once here
+// instead of once per row. Every per-row loop over joined vectors should
+// score through it. The function owns one scratch, so it is not safe for
+// concurrent use; it agrees with LogProb up to summation order (≤1e-12
+// relative, the fused kernel's bound).
+func (m *Model) RowScorer() (func(x []float64) (logProb float64, cluster int), error) {
+	s, err := m.NewScorer(core.NewPartition([]int{m.D}))
+	if err != nil {
+		return nil, err
+	}
+	sc := s.NewScratch()
+	return func(x []float64) (float64, int) {
+		if len(x) != m.D {
+			panic(fmt.Sprintf("gmm: point has dim %d, model has %d", len(x), m.D))
+		}
+		return s.Score(x, nil, sc)
+	}, nil
+}
+
 // K returns the number of mixture components (the length FillDimCaches
 // expects for its destination slice).
 func (s *Scorer) K() int { return s.m.K }

@@ -152,3 +152,34 @@ func TestScorerSingleComponent(t *testing.T) {
 		t.Fatalf("Responsibilities LL = %g, Score = %g", ll, lp)
 	}
 }
+
+// TestRowScorerMatchesDense checks RowScorer against the dense
+// Model.LogProb/Model.Predict on joined vectors, and that a vector of the
+// wrong width panics as LogProb does.
+func TestRowScorerMatchesDense(t *testing.T) {
+	m := scoreTestModel(t)
+	score, err := m.RowScorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 25; trial++ {
+		x := make([]float64, m.D)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 2
+		}
+		got, cluster := score(x)
+		if want := m.LogProb(x); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Fatalf("trial %d: RowScorer = %v, LogProb = %v", trial, got, want)
+		}
+		if dense := m.Predict(x); cluster != dense {
+			t.Fatalf("trial %d: RowScorer cluster %d, Predict %d", trial, cluster, dense)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RowScorer accepted a vector of the wrong width")
+		}
+	}()
+	score(make([]float64, m.D+1))
+}

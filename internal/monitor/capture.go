@@ -99,6 +99,24 @@ func CaptureBaseline(sp *join.Spec, bins int, score func(x []float64, y float64)
 	return b, nil
 }
 
+// CaptureLineage captures the baseline of spec (CaptureBaseline at
+// DefaultBins) and wraps it in the lineage record persisted with a
+// freshly trained model: training time and row count come from the
+// capture, strategy names the training strategy. It is the one lineage
+// builder behind the facade and cmd/train -save.
+func CaptureLineage(sp *join.Spec, strategy string, score func(x []float64, y float64) float64, metric string) (*Lineage, error) {
+	base, err := CaptureBaseline(sp, 0, score, metric)
+	if err != nil {
+		return nil, err
+	}
+	return &Lineage{
+		TrainedAtUnix: base.CapturedAtUnix,
+		TrainingRows:  base.Rows,
+		Strategy:      strategy,
+		Baseline:      base,
+	}, nil
+}
+
 // columnNames returns, per joined feature offset, the (table, column)
 // pair it came from, in the joined layout's [S, R1, …, Rq] order.
 func columnNames(sp *join.Spec) [][2]string {

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // FactRow is one new fact tuple in a change batch: the tuple's own
@@ -32,8 +33,8 @@ type DimUpdate struct {
 }
 
 // Batch is one atomic change-feed entry. The whole batch is validated
-// before anything is applied: a bad row rejects the batch without partial
-// effects. Dimension changes apply before fact rows, so a fact row may
+// before anything is applied: a bad row (wrong width, unknown key, or a
+// NaN/±Inf feature or target) rejects the batch without partial effects. Dimension changes apply before fact rows, so a fact row may
 // reference a dimension tuple inserted by the same batch.
 type Batch struct {
 	Facts []FactRow   `json:"facts,omitempty"`
@@ -56,6 +57,16 @@ func IsValidationError(err error) bool {
 
 func valErrf(format string, args ...any) error {
 	return &ValidationError{msg: fmt.Sprintf(format, args...)}
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in v, or -1.
+func nonFinite(v []float64) int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // IncompatibleModelError marks an attach rejected because the model does

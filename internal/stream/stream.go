@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -566,6 +567,10 @@ func (s *Stream) ingestLocked(ctx context.Context, b Batch) (IngestResult, error
 			return res, valErrf("stream: batch dim %d: table %q takes %d features, got %d",
 				i, du.Table, s.p.Dims[1+j], len(du.Features))
 		}
+		if k := nonFinite(du.Features); k >= 0 {
+			return res, valErrf("stream: batch dim %d: table %q feature %d is %g, want a finite value",
+				i, du.Table, k, du.Features[k])
+		}
 		refs := s.spec.Rs[j].Schema().Refs
 		if len(du.FKs) != len(refs) {
 			return res, valErrf("stream: batch dim %d: table %q takes %d sub-dimension keys, got %d",
@@ -583,6 +588,14 @@ func (s *Stream) ingestLocked(ctx context.Context, b Batch) (IngestResult, error
 		if len(fr.Features) != s.p.Dims[0] {
 			return res, valErrf("stream: batch fact %d (sid %d): fact table takes %d features, got %d",
 				i, fr.SID, s.p.Dims[0], len(fr.Features))
+		}
+		if k := nonFinite(fr.Features); k >= 0 {
+			return res, valErrf("stream: batch fact %d (sid %d): feature %d is %g, want a finite value",
+				i, fr.SID, k, fr.Features[k])
+		}
+		if math.IsNaN(fr.Target) || math.IsInf(fr.Target, 0) {
+			return res, valErrf("stream: batch fact %d (sid %d): target is %g, want a finite value",
+				i, fr.SID, fr.Target)
 		}
 		if !hasTarget && fr.Target != 0 {
 			return res, valErrf("stream: batch fact %d (sid %d): fact table %q has no target column, got target %g",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -424,6 +425,71 @@ func TestTargetlessFactTable(t *testing.T) {
 	}
 	if _, err := s.Ingest(Batch{Facts: []FactRow{{SID: 200, FKs: []int64{pk}, Features: []float64{1, 2, 3}}}}); err != nil {
 		t.Fatalf("target-less fact row rejected: %v", err)
+	}
+}
+
+// TestIngestRejectsNonFinite pins that a NaN or ±Inf in a fact's
+// features, its target, or a dimension row's features rejects the whole
+// batch as a ValidationError before anything is applied or logged: the
+// counters, the fact table and the WAL are untouched, and the attached
+// mixture refreshes to finite parameters afterwards.
+func TestIngestRejectsNonFinite(t *testing.T) {
+	db, spec, _ := genStar(t, 300, []int{12}, 3, []int{2}, 21)
+	model := trainBase(t, db, spec, 2)
+	l := ckptWAL(t, t.TempDir())
+	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 1}, WAL: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachGMM("m", model); err != nil {
+		t.Fatal(err)
+	}
+	idxs := buildIndexes(t, spec)
+	pk, _ := idxs[0].At(0)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(b *Batch){
+		"fact feature NaN":  func(b *Batch) { b.Facts[3].Features[1] = nan },
+		"fact feature +Inf": func(b *Batch) { b.Facts[0].Features[0] = inf },
+		"fact target NaN":   func(b *Batch) { b.Facts[5].Target = nan },
+		"fact target -Inf":  func(b *Batch) { b.Facts[2].Target = -inf },
+		"dim feature NaN": func(b *Batch) {
+			b.Dims = []DimUpdate{{Table: spec.Rs[0].Schema().Name, RID: pk, Features: []float64{1, nan}}}
+		},
+		"dim feature -Inf": func(b *Batch) {
+			b.Dims = []DimUpdate{{Table: spec.Rs[0].Schema().Name, RID: 1 << 40, Features: []float64{-inf, 1}}}
+		},
+	}
+	before, rows, lsn := s.Counters(), spec.S.NumTuples(), l.LastLSN()
+	for name, poison := range cases {
+		b := deltaBatch(t, spec, idxs, 8, 4)
+		poison(&b)
+		if _, err := s.Ingest(b); !IsValidationError(err) {
+			t.Fatalf("%s: Ingest = %v, want ValidationError", name, err)
+		}
+		if c := s.Counters(); c != before {
+			t.Fatalf("%s: counters moved on a rejected batch:\n got %+v\nwant %+v", name, c, before)
+		}
+		if spec.S.NumTuples() != rows || l.LastLSN() != lsn {
+			t.Fatalf("%s: rejected batch reached storage (%d→%d rows) or the WAL (LSN %d→%d)",
+				name, rows, spec.S.NumTuples(), lsn, l.LastLSN())
+		}
+	}
+	if _, err := s.Ingest(deltaBatch(t, spec, idxs, 8, 4)); err != nil {
+		t.Fatalf("finite batch rejected: %v", err)
+	}
+	if _, err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.GMM("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < m.K; k++ {
+		for _, v := range append(append([]float64{m.Weights[k]}, m.Means[k]...), m.Covs[k].Data()...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("refreshed component %d has a non-finite parameter", k)
+			}
+		}
 	}
 }
 

@@ -65,9 +65,13 @@ grep -q 'streaming ingestion enabled' "$tmp/serve.log"
 echo "   serving on $addr"
 
 curl_json() { curl -sSf "$@"; }
+# json_has KEY VALUE: stdin holds "KEY": VALUE, whatever whitespace the
+# server puts around the colon (predict bodies are compact, statsz is
+# indented). A numeric VALUE must not be followed by another digit.
+json_has() { grep -Eq "\"$1\"[[:space:]]*:[[:space:]]*$2([^0-9.]|\$)"; }
 
 echo "== /healthz"
-curl_json "http://$addr/healthz" | grep -q '"status": "ok"'
+curl_json "http://$addr/healthz" | json_has status '"ok"'
 
 predict_gmm() {
     curl_json -X POST "http://$addr/v1/models/smoke-gmm/predict" \
@@ -78,12 +82,12 @@ predict_gmm() {
 echo "== baseline prediction (fk 5)"
 p1="$(predict_gmm)"
 echo "   $p1"
-grep -q '"version": 1' <<<"$p1"
+json_has version 1 <<<"$p1"
 
 echo "== dimension update reaches served predictions immediately"
 curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
     -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}' \
-    | grep -q '"dim_updates": 1'
+    | json_has dim_updates 1
 p2="$(predict_gmm)"
 echo "   $p2"
 if [ "$p1" = "$p2" ]; then
@@ -99,12 +103,12 @@ done
 ingest="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
     -d "{\"facts\":[$rows]}")"
 echo "   $ingest"
-grep -q '"refresh_triggered": true' <<<"$ingest"
+json_has refresh_triggered true <<<"$ingest"
 
 echo "== refreshed model is served without a restart (version bump)"
 p3="$(predict_gmm)"
 echo "   $p3"
-grep -q '"version": 2' <<<"$p3"
+json_has version 2 <<<"$p3"
 
 echo "== invalid batches are rejected"
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/v1/ingest" \
@@ -115,8 +119,8 @@ echo "== /statsz carries the stream counters"
 stats="$(curl_json "http://$addr/statsz")"
 echo "   $stats"
 grep -q '"stream"' <<<"$stats"
-grep -q '"facts_ingested": 35' <<<"$stats"
-grep -q '"dim_updates": 1' <<<"$stats"
-grep -q '"auto_refreshes": 1' <<<"$stats"
+json_has facts_ingested 35 <<<"$stats"
+json_has dim_updates 1 <<<"$stats"
+json_has auto_refreshes 1 <<<"$stats"
 
 echo "stream smoke OK"
