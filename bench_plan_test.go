@@ -7,9 +7,10 @@ package factorml
 // planner's estimated core.Ops and page counts are recorded against the
 // measured Stats.Ops/Stats.IO, and the results land in BENCH_plan.json (a
 // CI artifact). TestPlannerPicksMeasuredCheapest asserts — on every test
-// run, without -bench — that the planner picked the measured-cheapest
-// strategy (by the same flops+pages score it estimates, 5% tie tolerance)
-// on at least 2 of the 3 shapes.
+// run, without -bench, for full and diagonal covariances — that every
+// estimate equals the measured counters exactly and that the planner
+// picked the measured-cheapest strategy (by the same flops+pages score it
+// estimates, 5% tie tolerance) on at least 2 of the 3 shapes.
 
 import (
 	"encoding/json"
@@ -72,19 +73,20 @@ var planBench struct {
 	err     error
 }
 
-// runPlanShapes trains every strategy on every shape once, comparing the
-// planner's estimates with the measured counters (memoized: the benchmark
-// and the assertion test share one run).
+// runPlanShapes trains every strategy on every shape once with full
+// covariances, comparing the planner's estimates with the measured
+// counters (memoized: the benchmark and the assertion test share one run,
+// which is the one BENCH_plan.json records).
 func runPlanShapes(tb testing.TB) ([]planShapeRecord, int) {
 	tb.Helper()
-	planBench.once.Do(func() { planBench.records, planBench.hits, planBench.err = measurePlanShapes() })
+	planBench.once.Do(func() { planBench.records, planBench.hits, planBench.err = measurePlanShapes(false) })
 	if planBench.err != nil {
 		tb.Fatal(planBench.err)
 	}
 	return planBench.records, planBench.hits
 }
 
-func measurePlanShapes() ([]planShapeRecord, int, error) {
+func measurePlanShapes(diagonal bool) ([]planShapeRecord, int, error) {
 	var records []planShapeRecord
 	hits := 0
 	for _, sh := range planShapes {
@@ -102,7 +104,7 @@ func measurePlanShapes() ([]planShapeRecord, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		cfg := GMMConfig{K: sh.k, MaxIter: sh.iters, Tol: 1e-300, Seed: 5, BlockPages: sh.blockPages, NumWorkers: 1}
+		cfg := GMMConfig{K: sh.k, MaxIter: sh.iters, Tol: 1e-300, Seed: 5, BlockPages: sh.blockPages, NumWorkers: 1, Diagonal: diagonal}
 		pl, err := PlanGMM(ds, cfg)
 		if err != nil {
 			return nil, 0, err
@@ -152,16 +154,41 @@ func measurePlanShapes() ([]planShapeRecord, int, error) {
 }
 
 // TestPlannerPicksMeasuredCheapest is the always-on guarantee behind
-// BENCH_plan.json: on at least 2 of the 3 shapes, the planner's choice is
-// the measured-cheapest strategy (5% tie tolerance).
+// BENCH_plan.json, for full and diagonal covariances: every estimate equals
+// what the trainer measured — flops exactly, pages as logical reads plus
+// writes, so a trainer that scans the data more often than the planner
+// prices fails here — and on at least 2 of the 3 shapes the planner's
+// choice is the measured-cheapest strategy (5% tie tolerance).
 func TestPlannerPicksMeasuredCheapest(t *testing.T) {
-	records, hits := runPlanShapes(t)
-	for _, r := range records {
-		t.Logf("shape %s: chose %s, measured cheapest %s (hit=%v)", r.Shape, r.Chosen, r.MeasuredCheapest, r.Hit)
-	}
-	if hits < 2 {
-		blob, _ := json.MarshalIndent(records, "", "  ")
-		t.Fatalf("planner matched the measured-cheapest strategy on %d/3 shapes, want >= 2\n%s", hits, blob)
+	for _, diagonal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("diagonal=%v", diagonal), func(t *testing.T) {
+			var records []planShapeRecord
+			var hits int
+			if diagonal {
+				var err error
+				if records, hits, err = measurePlanShapes(true); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				records, hits = runPlanShapes(t)
+			}
+			for _, r := range records {
+				t.Logf("shape %s: chose %s, measured cheapest %s (hit=%v)", r.Shape, r.Chosen, r.MeasuredCheapest, r.Hit)
+				for _, sr := range r.Strategies {
+					if sr.EstMul != sr.MeasMul || sr.EstAdds != sr.MeasAdds {
+						t.Errorf("shape %s, %s: estimated ops mul=%d adds=%d, measured mul=%d adds=%d",
+							r.Shape, sr.Strategy, sr.EstMul, sr.EstAdds, sr.MeasMul, sr.MeasAdds)
+					}
+					if sr.EstPages != sr.MeasPages {
+						t.Errorf("shape %s, %s: estimated %d pages, measured %d", r.Shape, sr.Strategy, sr.EstPages, sr.MeasPages)
+					}
+				}
+			}
+			if hits < 2 {
+				blob, _ := json.MarshalIndent(records, "", "  ")
+				t.Fatalf("planner matched the measured-cheapest strategy on %d/3 shapes, want >= 2\n%s", hits, blob)
+			}
+		})
 	}
 }
 

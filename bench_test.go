@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"factorml/internal/data"
-	"factorml/internal/experiments"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
 	"factorml/internal/nn"
@@ -291,26 +290,30 @@ func BenchmarkAblationGroupedGradient(b *testing.B) {
 }
 
 // §V-A block-size sensitivity: one streaming pass over the join as the BNL
-// block shrinks (S is rescanned once per block).
+// block shrinks (S is rescanned once per block). pages/pass is the measured
+// logical page reads of one pass (the planner prices the same quantity;
+// TestPlannerPicksMeasuredCheapest pins estimate = measured).
 func BenchmarkAblationBlockPages(b *testing.B) {
 	db := benchDB(b)
 	spec := benchSpec(b, db, "w", 5000, []int{3000}, []int{4}, false)
 	for _, bp := range []int{1, 4, 64} {
 		sp := *spec
 		sp.BlockPages = bp
-		model := experiments.ModelFor(&sp, 1)
 		b.Run(fmt.Sprintf("blockPages=%d", bp), func(b *testing.B) {
 			runner, err := join.NewRunner(&sp)
 			if err != nil {
 				b.Fatal(err)
 			}
+			io0 := db.Pool().Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := join.StreamWith(runner, func(int64, []float64, float64) error { return nil }); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(model.JoinPass()), "pages/pass")
+			b.StopTimer()
+			reads := db.Pool().Stats().Sub(io0).LogicalReads
+			b.ReportMetric(float64(reads)/float64(b.N), "pages/pass")
 		})
 	}
 }

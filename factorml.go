@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -498,10 +499,14 @@ func (t *DimensionTable) SubDimensions() []*DimensionTable {
 }
 
 // Append adds a tuple to a leaf dimension table. rid must be unique within
-// the table. Tables with sub-dimension references take AppendRefs instead.
+// the table, and every feature must be finite. Tables with sub-dimension
+// references take AppendRefs instead.
 func (t *DimensionTable) Append(rid int64, features []float64) error {
 	if len(t.subs) > 0 {
 		return fmt.Errorf("factorml: dimension table %q references %d sub-dimensions; use AppendRefs", t.Name(), len(t.subs))
+	}
+	if err := checkFinite(t.tbl.Schema(), features, 0); err != nil {
+		return err
 	}
 	return t.tbl.Append(&storage.Tuple{Keys: []int64{rid}, Features: features})
 }
@@ -509,10 +514,13 @@ func (t *DimensionTable) Append(rid int64, features []float64) error {
 // AppendRefs adds a tuple to a dimension table with sub-dimension
 // references: fks must name an existing rid in each referenced
 // sub-dimension table, in the order passed to CreateDimensionTable
-// (checked at join time).
+// (checked at join time), and every feature must be finite.
 func (t *DimensionTable) AppendRefs(rid int64, fks []int64, features []float64) error {
 	if len(fks) != len(t.subs) {
 		return fmt.Errorf("factorml: %d foreign keys for %d sub-dimension tables of %q", len(fks), len(t.subs), t.Name())
+	}
+	if err := checkFinite(t.tbl.Schema(), features, 0); err != nil {
+		return err
 	}
 	keys := make([]int64, 1+len(fks))
 	keys[0] = rid
@@ -537,11 +545,15 @@ func (t *FactTable) Name() string { return t.tbl.Schema().Name }
 func (t *FactTable) NumTuples() int64 { return t.tbl.NumTuples() }
 
 // Append adds a fact tuple; fks must name an existing rid in each
-// referenced dimension table (checked at join time). target is ignored
-// unless the table was created with a target column.
+// referenced dimension table (checked at join time). Every feature, and
+// the target of a table created with a target column, must be finite;
+// otherwise target is ignored.
 func (t *FactTable) Append(sid int64, fks []int64, features []float64, target float64) error {
 	if len(fks) != len(t.dims) {
 		return fmt.Errorf("factorml: %d foreign keys for %d dimension tables", len(fks), len(t.dims))
+	}
+	if err := checkFinite(t.tbl.Schema(), features, target); err != nil {
+		return err
 	}
 	keys := make([]int64, 1+len(fks))
 	keys[0] = sid
@@ -551,6 +563,27 @@ func (t *FactTable) Append(sid int64, fks []int64, features []float64, target fl
 
 // Flush persists any buffered tuples.
 func (t *FactTable) Flush() error { return t.tbl.Flush() }
+
+// checkFinite rejects a NaN or ±Inf feature, or target when the schema
+// has one, naming the column: a single such value makes every model
+// trained over the table fail or train to NaN.
+func checkFinite(s *storage.Schema, features []float64, target float64) error {
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	for i, v := range features {
+		if !bad(v) {
+			continue
+		}
+		col := fmt.Sprintf("#%d", i)
+		if i < len(s.Features) {
+			col = s.Features[i]
+		}
+		return fmt.Errorf("factorml: table %q: feature %s is %v; values must be finite", s.Name, col, v)
+	}
+	if s.HasTarget && bad(target) {
+		return fmt.Errorf("factorml: table %q: target is %v; values must be finite", s.Name, target)
+	}
+	return nil
+}
 
 // CreateDimensionTable creates a dimension relation with the given feature
 // columns. Passing sub-dimension tables builds a snowflake level: the new

@@ -185,6 +185,86 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsNonFinite: NaN/±Inf features (and targets of a table
+// with a target column) are rejected at the facade with an error naming
+// the column, nothing is stored, and the table still trains to a finite
+// model afterwards.
+func TestAppendRejectsNonFinite(t *testing.T) {
+	db := openDB(t)
+	brands, err := db.CreateDimensionTable("brands", []string{"prestige"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := db.CreateDimensionTable("items", []string{"price", "size"}, brands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := db.CreateFactTable("orders", []string{"amount", "hour"}, true, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, col string
+		tbl       interface{ NumTuples() int64 }
+		appendFn  func() error
+	}{
+		{"leaf dim NaN", "prestige", brands, func() error { return brands.Append(9, []float64{nan}) }},
+		{"dim refs +Inf", "size", items, func() error { return items.AppendRefs(9, []int64{0}, []float64{1, inf}) }},
+		{"fact -Inf", "amount", orders, func() error { return orders.Append(9, []int64{0}, []float64{-inf, 1}, 0) }},
+		{"fact NaN", "hour", orders, func() error { return orders.Append(9, []int64{0}, []float64{1, nan}, 0) }},
+		{"target NaN", "target", orders, func() error { return orders.Append(9, []int64{0}, []float64{1, 2}, nan) }},
+	} {
+		before := tc.tbl.NumTuples()
+		err := tc.appendFn()
+		if err == nil || !strings.Contains(err.Error(), tc.col) {
+			t.Errorf("%s: err = %v, want an error naming %q", tc.name, err, tc.col)
+		}
+		if got := tc.tbl.NumTuples(); got != before {
+			t.Errorf("%s: %d tuples after a rejected append, want %d", tc.name, got, before)
+		}
+	}
+
+	// A target-less table ignores its target argument, NaN included.
+	plain, err := db.CreateFactTable("plain", []string{"g"}, false, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Append(0, []int64{0}, []float64{1}, nan); err != nil {
+		t.Fatalf("target-less append with a NaN target argument: %v", err)
+	}
+
+	for i := 0; i < 4; i++ {
+		if err := brands.Append(int64(i), []float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := items.AppendRefs(int64(i), []int64{int64(i % 4)}, []float64{float64(10 + i), float64(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		err := orders.Append(int64(i), []int64{int64(i % 10)}, []float64{float64(i%7) + 0.5, float64(i % 24)}, float64(i%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := db.Dataset(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{Materialized, Factorized} {
+		res, err := TrainGMM(ds, algo, GMMConfig{K: 2, MaxIter: 3, Seed: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if ll := res.Stats.FinalLL(); math.IsNaN(ll) || math.IsInf(ll, 0) {
+			t.Fatalf("%v: final log-likelihood %v", algo, ll)
+		}
+	}
+}
+
 func TestIOStatsExposed(t *testing.T) {
 	db := openDB(t)
 	ds := buildRetail(t, db, 50, 5)

@@ -71,7 +71,7 @@ func collectRows(t *testing.T, scan func(RowFn) error) (rows [][]float64, ys []f
 // makes the M and S strategies interchangeable accumulators-side.
 func TestSourcesAgree(t *testing.T) {
 	db, spec := buildStar(t)
-	ms, err := NewMaterializedSource(db, spec, "T_test")
+	ms, err := NewMaterializedSource(db, spec, "T_test", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSourcesAgreeWithLeadingEmptyBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := NewMaterializedSource(db, spec, "T_empty")
+	ms, err := NewMaterializedSource(db, spec, "T_empty", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestPartScanSharesInitOrder(t *testing.T) {
 		t.Fatalf("NumRows = %d", ps.NumRows())
 	}
 	pRows, pYs := collectRows(t, ps.Scan)
-	ms, err := NewMaterializedSource(db, spec, "T_init")
+	ms, err := NewMaterializedSource(db, spec, "T_init", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,8 @@ type PartScan struct {
 // NewPartScan prepares the runner and partition for a spec. blockPages
 // overrides the spec's block size when the spec leaves it at zero.
 func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
-	sp := *spec
-	if sp.BlockPages == 0 {
-		sp.BlockPages = blockPages
-	}
-	runner, err := join.NewRunner(&sp)
+	sp := withBlockPages(spec, blockPages)
+	runner, err := join.NewRunner(sp)
 	if err != nil {
 		return nil, err
 	}

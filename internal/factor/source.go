@@ -21,7 +21,7 @@ type GroupedScan func(onRow RowFn, onGroupEnd func() error) error
 
 // Source is a re-scannable stream of joined rows — the access path of the
 // Materialized and Streaming strategies. A Source may be scanned any number
-// of times (EM makes three passes per iteration); every scan yields the
+// of times (EM makes two passes per iteration); every scan yields the
 // identical row order.
 type Source interface {
 	// NumRows reports the number of rows one scan delivers — the join
@@ -50,10 +50,25 @@ type MaterializedSource struct {
 	width  int
 }
 
+// withBlockPages returns a copy of spec whose block size is blockPages when
+// the spec leaves it at zero — the one rule every access path (streamed,
+// materialized, factorized) applies, so all three cut R1 into the same
+// blocks and deliver the rows in the same order.
+func withBlockPages(spec *join.Spec, blockPages int) *join.Spec {
+	sp := *spec
+	if sp.BlockPages == 0 {
+		sp.BlockPages = blockPages
+	}
+	return &sp
+}
+
 // NewMaterializedSource executes the join and writes T into db under name
-// (step 1 of the M-* algorithms). Close drops the temporary table.
-func NewMaterializedSource(db *storage.Database, spec *join.Spec, name string) (*MaterializedSource, error) {
-	tbl, counts, err := join.Materialize(db, spec, name)
+// (step 1 of the M-* algorithms). blockPages overrides the spec's block
+// size when the spec leaves it at zero, as for NewStreamedSource, so T
+// holds the rows in the streamed order and records the same block
+// boundaries. Close drops the temporary table.
+func NewMaterializedSource(db *storage.Database, spec *join.Spec, name string, blockPages int) (*MaterializedSource, error) {
+	tbl, counts, err := join.Materialize(db, withBlockPages(spec, blockPages), name)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +148,7 @@ type StreamedSource struct {
 	runner *join.Runner
 	width  int
 	// xbuf is the assembled-row buffer ScanGroups reuses across scans; a
-	// Source is scanned sequentially (EM makes three passes per iteration),
+	// Source is scanned sequentially (EM makes two passes per iteration),
 	// so one buffer per source suffices and the per-scan allocation is gone.
 	xbuf []float64
 }
@@ -141,11 +156,8 @@ type StreamedSource struct {
 // NewStreamedSource prepares the join runner. blockPages overrides the
 // spec's block size when the spec leaves it at zero.
 func NewStreamedSource(spec *join.Spec, blockPages int) (*StreamedSource, error) {
-	sp := *spec
-	if sp.BlockPages == 0 {
-		sp.BlockPages = blockPages
-	}
-	runner, err := join.NewRunner(&sp)
+	sp := withBlockPages(spec, blockPages)
+	runner, err := join.NewRunner(sp)
 	if err != nil {
 		return nil, err
 	}

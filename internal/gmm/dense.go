@@ -11,10 +11,14 @@ import (
 )
 
 // emDense runs EM over a dense pass source. It is the engine of both M-GMM
-// and S-GMM (Algorithm 1 of the paper): each iteration makes three passes —
-// E-step responsibilities, M-step means, M-step covariances — through
-// whatever access path `pass` encapsulates (reading the materialized T, or
-// re-joining on the fly).
+// and S-GMM (Algorithm 1 of the paper): each iteration makes two passes
+// through whatever access path `pass` encapsulates (reading the
+// materialized T, or re-joining on the fly). The E-step pass computes the
+// responsibilities and, since the means and weights need nothing but γ,
+// also accumulates Σγ and Σγx; the second pass accumulates the covariances
+// around the new means. Algorithm 1 spends a separate scan on the means;
+// the E-step sums the same terms in the same order, so the result is
+// exactly Algorithm 1's.
 //
 // Every pass is executed by the shared chunked row-pass operator
 // (factor.RunRowPass over internal/parallel): rows are cut into fixed
@@ -32,21 +36,16 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 
 	// Per-chunk accumulators, pooled across passes and iterations.
 	type eAcc struct {
-		ll   float64
-		ops  core.Ops
-		logp []float64
-		pd   []float64
-	}
-	ePool := sync.Pool{New: func() any {
-		return &eAcc{logp: make([]float64, k), pd: make([]float64, d)}
-	}}
-	type m1Acc struct {
+		ll    float64
 		ops   core.Ops
+		logp  []float64
+		pd    []float64
 		nk    []float64
 		sumMu [][]float64
 	}
-	m1Pool := sync.Pool{New: func() any {
-		a := &m1Acc{nk: make([]float64, k), sumMu: make([][]float64, k)}
+	ePool := sync.Pool{New: func() any {
+		a := &eAcc{logp: make([]float64, k), pd: make([]float64, d),
+			nk: make([]float64, k), sumMu: make([][]float64, k)}
 		for c := 0; c < k; c++ {
 			a.sumMu[c] = make([]float64, d)
 		}
@@ -80,14 +79,23 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 			return err
 		}
 
-		// --- E-step pass: responsibilities and log-likelihood (Eq. 1-2, 6).
-		// Workers write γ rows at disjoint indices; the per-chunk
-		// log-likelihood partials merge in chunk order.
+		// --- E-step pass: responsibilities and log-likelihood (Eq. 1-2, 6),
+		// plus the means and weights (Eq. 3, 5). Workers write γ rows at
+		// disjoint indices; the per-chunk log-likelihood, Σγ and Σγx
+		// partials merge in chunk order.
 		ll := 0.0
+		for c := 0; c < k; c++ {
+			nk[c] = 0
+			linalg.VecZero(sumMu[c])
+		}
 		err = factor.RunRowPass("gmm.estep", nw, d, scan, factor.PassHooks{
 			NewAcc: func() any {
 				a := ePool.Get().(*eAcc)
 				a.ll, a.ops = 0, core.Ops{}
+				for c := 0; c < k; c++ {
+					a.nk[c] = 0
+					linalg.VecZero(a.sumMu[c])
+				}
 				return a
 			},
 			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
@@ -106,42 +114,6 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 					g := gamma[(start+i)*k : (start+i+1)*k]
 					for c := 0; c < k; c++ {
 						g[c] = math.Exp(a.logp[c] - lse)
-					}
-				}
-				return nil
-			},
-			Merge: func(acc any) error {
-				a := acc.(*eAcc)
-				ll += a.ll
-				stats.Ops.Add(a.ops)
-				ePool.Put(a)
-				return nil
-			}})
-		if err != nil {
-			return err
-		}
-
-		// --- M-step pass 1: means and weights (Eq. 3, 5).
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			linalg.VecZero(sumMu[c])
-		}
-		err = factor.RunRowPass("gmm.mstep_means", nw, d, scan, factor.PassHooks{
-			NewAcc: func() any {
-				a := m1Pool.Get().(*m1Acc)
-				a.ops = core.Ops{}
-				for c := 0; c < k; c++ {
-					a.nk[c] = 0
-					linalg.VecZero(a.sumMu[c])
-				}
-				return a
-			},
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*m1Acc)
-				for i := 0; i < nr; i++ {
-					x := rows[i*d : (i+1)*d]
-					g := gamma[(start+i)*k : (start+i+1)*k]
-					for c := 0; c < k; c++ {
 						a.nk[c] += g[c]
 						linalg.Axpy(g[c], x, a.sumMu[c])
 						a.ops.AddAxpy(d)
@@ -150,13 +122,14 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 				return nil
 			},
 			Merge: func(acc any) error {
-				a := acc.(*m1Acc)
+				a := acc.(*eAcc)
+				ll += a.ll
 				for c := 0; c < k; c++ {
 					nk[c] += a.nk[c]
 					linalg.VecAdd(sumMu[c], sumMu[c], a.sumMu[c])
 				}
 				stats.Ops.Add(a.ops)
-				m1Pool.Put(a)
+				ePool.Put(a)
 				return nil
 			}})
 		if err != nil {
@@ -164,7 +137,7 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 		}
 		collapsed := applyMeanUpdates(model, nk, sumMu, n)
 
-		// --- M-step pass 2: covariances with the new means (Eq. 4).
+		// --- M-step pass: covariances with the new means (Eq. 4).
 		for c := 0; c < k; c++ {
 			sumCov[c].Zero()
 		}

@@ -3,7 +3,8 @@
 // flavours:
 //
 //   - TrainM (M-GMM): materialize the join result T on disk, then run EM
-//     reading T three times per iteration (Algorithm 1 of the paper).
+//     reading T twice per iteration (Algorithm 1 of the paper, with the
+//     means folded into the E-step pass).
 //   - TrainS (S-GMM): identical EM, but each read of T is replaced by
 //     re-executing the block-nested-loops join on the fly.
 //   - TrainF (F-GMM): the paper's contribution — the E-step quadratic form

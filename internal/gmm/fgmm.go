@@ -60,12 +60,14 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 // emFactorized runs the factorized EM loop. Parts: 0 = S, 1 = the blocked
 // dimension relation R1, 2+j = resident dimension relation Rs[1+j].
 //
-// The E-step — the dimension-cache fills and the per-match responsibility
-// computation — runs on the chunked worker pool (cfg.NumWorkers): caches
-// fill over disjoint index grains, matches stream through RunParallel with
-// per-chunk log-likelihood/γ buffers merged in chunk order, so the model is
-// bit-identical for every worker count. The M-step passes stay sequential:
-// factorization already collapses their per-tuple work to the small fact
+// Each iteration makes two passes over the join. The E-step — the
+// dimension-cache fills and the per-match responsibility computation —
+// runs on the chunked worker pool (cfg.NumWorkers): caches fill over
+// disjoint index grains, matches stream through RunParallel with per-chunk
+// log-likelihood/γ buffers merged in chunk order, and the merge also folds
+// the means and weights (factMeans). The model is therefore bit-identical
+// for every worker count. The covariance pass stays sequential:
+// factorization already collapses its per-tuple work to the small fact
 // part plus per-group flushes.
 func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.P
@@ -90,6 +92,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		logp   []float64
 		pds    []float64
 		caches [][]core.QuadCache
+		rows   meanRows
 	}
 	fePool := sync.Pool{New: func() any {
 		return &feAcc{
@@ -99,43 +102,24 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		}
 	}}
 
-	nk := make([]float64, k)
-	// Per-part mean accumulators, assembled into full vectors for the shared
-	// update helper.
-	sumMuParts := make([][][]float64, p.Parts())
-	for i := range sumMuParts {
-		sumMuParts[i] = make([][]float64, k)
-		for c := 0; c < k; c++ {
-			sumMuParts[i][c] = make([]float64, p.Dims[i])
-		}
-	}
-	sumMuFull := make([][]float64, k)
-	for c := 0; c < k; c++ {
-		sumMuFull[c] = make([]float64, p.D)
-	}
-
 	// Reusable per-block buffers (sized on first block).
 	var blkCache []core.QuadCache // E-step: len(block)*k
-	var wBlk []float64            // M1: group responsibility sums
-	var pdBlk [][]float64         // M2: PD per (block tuple, component)
-	var wBlk2 []float64           // M2 group sums
-	var gvecBlk [][]float64       // M2: Σ γ·PD_S per group
+	var pdBlk [][]float64         // M: PD per (block tuple, component)
+	var wBlk []float64            // M: group responsibility sums
+	var gvecBlk [][]float64       // M: Σ γ·PD_S per group
 	var curBlock []*storage.Tuple // current R1 block, shared across callbacks
 
 	// Per-iteration accumulators hoisted out of the EM loop (the resident
 	// dimension tables are loaded by the init scan and their sizes are
 	// fixed, so every buffer below is allocated once and recycled —
 	// FillQuadCache and VecSub overwrite, the rest are zeroed in place).
+	means := newFactMeans(ps, k)
 	resCache := make([][]core.QuadCache, q-1) // E-step resident caches
-	wRes := make([][]float64, q-1)            // M1 resident group sums
-	pdRes := make([][][]float64, q-1)         // M2 resident PDs
-	wRes2 := make([][]float64, q-1)           // M2 resident group sums
-	gvecRes := make([][][]float64, q-1)       // M2 Σ γ·PD_S per resident group
+	pdRes := make([][][]float64, q-1)         // M resident PDs
+	gvecRes := make([][][]float64, q-1)       // M Σ γ·PD_S per resident group
 	for j := 0; j < q-1; j++ {
 		nt := len(ps.Resident(j))
 		resCache[j] = make([]core.QuadCache, nt*k)
-		wRes[j] = make([]float64, nt*k)
-		wRes2[j] = make([]float64, nt*k)
 		pdRes[j] = make([][]float64, nt*k)
 		gvecRes[j] = make([][]float64, nt*k)
 		dRj := p.Dims[2+j]
@@ -144,7 +128,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			gvecRes[j][i] = make([]float64, dS)
 		}
 	}
-	acc := make([]*core.BlockedSym, k) // M2 covariance accumulators
+	acc := make([]*core.BlockedSym, k) // M covariance accumulators
 	sumCov := make([]*linalg.Dense, k) // assembled Σ-update destinations
 	for c := 0; c < k; c++ {
 		acc[c] = core.NewBlockedZero(p)
@@ -160,7 +144,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		hot := buildHot(model, p, states)
 
 		// ------------------------------------------------------------------
-		// E-step: factorized responsibilities (Eq. 7-12 / 19-21).
+		// E-step: factorized responsibilities (Eq. 7-12 / 19-21), folding
+		// the means and weights (Eq. 13 / 22) as the chunks merge.
 		// ------------------------------------------------------------------
 		// Resident caches are filled once per iteration (parallel fill,
 		// disjoint (tuple, component) slots).
@@ -181,6 +166,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 
 		ll := 0.0
 		idx := 0
+		means.reset()
 		err = ps.RunChunks(nw, join.ParallelCallbacks{
 			OnBlockStart: func(block []*storage.Tuple) error {
 				need := len(block) * k
@@ -188,6 +174,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					blkCache = make([]core.QuadCache, need)
 				}
 				blkCache = blkCache[:need]
+				means.startBlock(block)
 				return ps.FillCaches(nw, block, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
 					for c := 0; c < k; c++ {
 						core.FillQuadCache(&blkCache[i*k+c], states[c].blocked, 1, tp.Features, model.Means[c], ops)
@@ -199,11 +186,13 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				a := fePool.Get().(*feAcc)
 				a.ll, a.ops, a.ng = 0, core.Ops{}, 0
 				a.gamma = a.gamma[:0]
+				a.rows.reset()
 				return a
 			},
 			OnMatchChunk: func(state any, matches []join.Match) error {
 				a := state.(*feAcc)
 				for _, m := range matches {
+					a.rows.add(m)
 					a.caches[0] = blkCache[m.R1*k : (m.R1+1)*k]
 					for j, ri := range m.Res {
 						a.caches[1+j] = resCache[j][ri*k : (ri+1)*k]
@@ -224,84 +213,22 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				idx += a.ng
 				ll += a.ll
 				stats.Ops.Add(a.ops)
+				means.absorb(&a.rows, a.gamma, &stats.Ops)
 				fePool.Put(a)
 				return nil
 			},
-		})
-		if err != nil {
-			return err
-		}
-
-		// ------------------------------------------------------------------
-		// M-step pass 1: means and weights (Eq. 13 / 22). The dimension
-		// contribution Σ_n γ x_R factors into x_R · (Σ_{n∈group} γ).
-		// ------------------------------------------------------------------
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			for i := range sumMuParts {
-				linalg.VecZero(sumMuParts[i][c])
-			}
-		}
-		for j := 0; j < q-1; j++ {
-			linalg.VecZero(wRes[j])
-		}
-		idx = 0
-		ps.Pass = "fgmm.mstep_means"
-		err = ps.Run(join.Callbacks{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				need := len(block) * k
-				if cap(wBlk) < need {
-					wBlk = make([]float64, need)
-				}
-				wBlk = wBlk[:need]
-				linalg.VecZero(wBlk)
-				curBlock = block
-				return nil
-			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-				g := gamma[idx*k : (idx+1)*k]
-				for c := 0; c < k; c++ {
-					nk[c] += g[c]
-					linalg.Axpy(g[c], s.Features, sumMuParts[0][c])
-					stats.Ops.AddAxpy(dS)
-					wBlk[r1Idx*k+c] += g[c]
-					for j, ri := range resIdx {
-						wRes[j][ri*k+c] += g[c]
-					}
-				}
-				idx++
-				return nil
-			},
 			OnBlockEnd: func() error {
-				for i, tp := range curBlock {
-					for c := 0; c < k; c++ {
-						linalg.Axpy(wBlk[i*k+c], tp.Features, sumMuParts[1][c])
-						stats.Ops.AddAxpy(p.Dims[1])
-					}
-				}
+				means.endBlock(&stats.Ops)
 				return nil
 			},
 		})
 		if err != nil {
 			return err
 		}
-		for j := 0; j < q-1; j++ {
-			for t, tp := range ps.Resident(j) {
-				for c := 0; c < k; c++ {
-					linalg.Axpy(wRes[j][t*k+c], tp.Features, sumMuParts[2+j][c])
-					stats.Ops.AddAxpy(p.Dims[2+j])
-				}
-			}
-		}
-		for c := 0; c < k; c++ {
-			for i := range sumMuParts {
-				copy(sumMuFull[c][p.Offs[i]:p.Offs[i]+p.Dims[i]], sumMuParts[i][c])
-			}
-		}
-		collapsed := applyMeanUpdates(model, nk, sumMuFull, n)
+		collapsed := applyMeanUpdates(model, means.nk, means.finish(ps, &stats.Ops), n)
 
 		// ------------------------------------------------------------------
-		// M-step pass 2: covariances (Eq. 14-18 / 23-24) with the new means.
+		// M-step pass: covariances (Eq. 14-18 / 23-24) with the new means.
 		// Diagonal dimension blocks use the group trick
 		//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ,
 		// and the S-R cross blocks use
@@ -313,7 +240,6 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			acc[c].Zero()
 		}
 		for j := 0; j < q-1; j++ {
-			linalg.VecZero(wRes2[j])
 			dRj := p.Dims[2+j]
 			for t, tp := range ps.Resident(j) {
 				for c := 0; c < k; c++ {
@@ -335,11 +261,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				}
 				pdBlk = pdBlk[:need]
 				gvecBlk = gvecBlk[:need]
-				if cap(wBlk2) < need {
-					wBlk2 = make([]float64, need)
+				if cap(wBlk) < need {
+					wBlk = make([]float64, need)
 				}
-				wBlk2 = wBlk2[:need]
-				linalg.VecZero(wBlk2)
+				wBlk = wBlk[:need]
+				linalg.VecZero(wBlk)
 				dR1 := p.Dims[1]
 				for i, tp := range block {
 					for c := 0; c < k; c++ {
@@ -362,12 +288,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					stats.Ops.AddSub(dS)
 					linalg.OuterAccum(acc[c].B[0][0], g[c], pds, pds)
 					stats.Ops.AddOuter(dS, dS)
-					wBlk2[r1Idx*k+c] += g[c]
+					wBlk[r1Idx*k+c] += g[c]
 					linalg.Axpy(g[c], pds, gvecBlk[r1Idx*k+c])
 					stats.Ops.AddAxpy(dS)
 					pdBuf[0] = pdBlk[r1Idx*k+c]
 					for j, ri := range resIdx {
-						wRes2[j][ri*k+c] += g[c]
 						linalg.Axpy(g[c], pds, gvecRes[j][ri*k+c])
 						stats.Ops.AddAxpy(dS)
 						pdBuf[1+j] = pdRes[j][ri*k+c]
@@ -391,7 +316,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					for c := 0; c < k; c++ {
 						pd := pdBlk[i*k+c]
 						gv := gvecBlk[i*k+c]
-						linalg.OuterAccum(acc[c].B[1][1], wBlk2[i*k+c], pd, pd)
+						linalg.OuterAccum(acc[c].B[1][1], wBlk[i*k+c], pd, pd)
 						stats.Ops.AddOuter(dR1, dR1)
 						linalg.OuterAccum(acc[c].B[0][1], 1, gv, pd)
 						stats.Ops.AddOuter(dS, dR1)
@@ -405,13 +330,14 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		if err != nil {
 			return err
 		}
-		for j := 0; j < q-1; j++ {
+		// The resident groups' Σγ are the E-step's (γ is unchanged since).
+		for j, wRes := range means.wRes {
 			dRj := p.Dims[2+j]
 			for t := range ps.Resident(j) {
 				for c := 0; c < k; c++ {
 					pd := pdRes[j][t*k+c]
 					gv := gvecRes[j][t*k+c]
-					linalg.OuterAccum(acc[c].B[2+j][2+j], wRes2[j][t*k+c], pd, pd)
+					linalg.OuterAccum(acc[c].B[2+j][2+j], wRes[t*k+c], pd, pd)
 					stats.Ops.AddOuter(dRj, dRj)
 					linalg.OuterAccum(acc[c].B[0][2+j], 1, gv, pd)
 					stats.Ops.AddOuter(dS, dRj)
@@ -423,7 +349,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		for c := 0; c < k; c++ {
 			acc[c].AssembleInto(sumCov[c])
 		}
-		applyCovUpdates(model, nk, sumCov, collapsed, cfg.RegEps)
+		applyCovUpdates(model, means.nk, sumCov, collapsed, cfg.RegEps)
 
 		stats.LogLikelihood = append(stats.LogLikelihood, ll)
 		stats.Iters = iter + 1

@@ -60,9 +60,10 @@ func diagQuad(x, mu, inv []float64) float64 {
 }
 
 // emDenseDiag is the diagonal-covariance EM over a dense pass source
-// (M-IGMM and S-IGMM). Like emDense, every pass runs on the chunked worker
-// pool with ordered merges, so the model is bit-identical for every
-// cfg.NumWorkers value.
+// (M-IGMM and S-IGMM). Like emDense it makes two passes per iteration —
+// the E-step, which also accumulates the means and weights, then the
+// variances — each on the chunked worker pool with ordered merges, so the
+// model is bit-identical for every cfg.NumWorkers value.
 func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
 	scan := func(onRow factor.RowFn) error {
@@ -71,28 +72,25 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 	k := cfg.K
 	gamma := make([]float64, n*k)
 
-	type eAcc struct {
+	// acc is the per-chunk accumulator of both passes: the E-step fills
+	// ll, logp, nk and sum (Σγx), the variance pass only sum (Σγ(x−µ)²).
+	type acc struct {
 		ll   float64
 		ops  core.Ops
 		logp []float64
+		nk   []float64
+		sum  [][]float64
 	}
-	ePool := sync.Pool{New: func() any { return &eAcc{logp: make([]float64, k)} }}
-	type mAcc struct {
-		ops core.Ops
-		nk  []float64
-		sum [][]float64 // means in pass 1, variances in pass 2
-	}
-	newMAcc := func() any {
-		a := &mAcc{nk: make([]float64, k), sum: make([][]float64, k)}
+	pool := sync.Pool{New: func() any {
+		a := &acc{logp: make([]float64, k), nk: make([]float64, k), sum: make([][]float64, k)}
 		for c := 0; c < k; c++ {
 			a.sum[c] = make([]float64, d)
 		}
 		return a
-	}
-	mPool := sync.Pool{New: newMAcc}
-	getMAcc := func() any {
-		a := mPool.Get().(*mAcc)
-		a.ops = core.Ops{}
+	}}
+	getAcc := func() any {
+		a := pool.Get().(*acc)
+		a.ll, a.ops = 0, core.Ops{}
 		for c := 0; c < k; c++ {
 			a.nk[c] = 0
 			linalg.VecZero(a.sum[c])
@@ -115,16 +113,16 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 			return err
 		}
 
-		// E pass.
+		// E pass, with the means and weights.
 		ll := 0.0
+		for c := 0; c < k; c++ {
+			nk[c] = 0
+			linalg.VecZero(sumMu[c])
+		}
 		err = factor.RunRowPass("igmm.estep", nw, d, scan, factor.PassHooks{
-			NewAcc: func() any {
-				a := ePool.Get().(*eAcc)
-				a.ll, a.ops = 0, core.Ops{}
-				return a
-			},
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*eAcc)
+			NewAcc: getAcc,
+			Fold: func(ac any, start int, rows, _ []float64, nr int) error {
+				a := ac.(*acc)
 				for i := 0; i < nr; i++ {
 					x := rows[i*d : (i+1)*d]
 					for c := 0; c < k; c++ {
@@ -137,34 +135,6 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 					g := gamma[(start+i)*k : (start+i+1)*k]
 					for c := 0; c < k; c++ {
 						g[c] = math.Exp(a.logp[c] - lse)
-					}
-				}
-				return nil
-			},
-			Merge: func(acc any) error {
-				a := acc.(*eAcc)
-				ll += a.ll
-				stats.Ops.Add(a.ops)
-				ePool.Put(a)
-				return nil
-			}})
-		if err != nil {
-			return err
-		}
-
-		// M pass 1: means and weights.
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			linalg.VecZero(sumMu[c])
-		}
-		err = factor.RunRowPass("igmm.mstep_means", nw, d, scan, factor.PassHooks{
-			NewAcc: getMAcc,
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*mAcc)
-				for i := 0; i < nr; i++ {
-					x := rows[i*d : (i+1)*d]
-					g := gamma[(start+i)*k : (start+i+1)*k]
-					for c := 0; c < k; c++ {
 						a.nk[c] += g[c]
 						linalg.Axpy(g[c], x, a.sum[c])
 						a.ops.AddAxpy(d)
@@ -172,14 +142,15 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 				}
 				return nil
 			},
-			Merge: func(acc any) error {
-				a := acc.(*mAcc)
+			Merge: func(ac any) error {
+				a := ac.(*acc)
+				ll += a.ll
 				for c := 0; c < k; c++ {
 					nk[c] += a.nk[c]
 					linalg.VecAdd(sumMu[c], sumMu[c], a.sum[c])
 				}
 				stats.Ops.Add(a.ops)
-				mPool.Put(a)
+				pool.Put(a)
 				return nil
 			}})
 		if err != nil {
@@ -187,14 +158,14 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 		}
 		collapsed := applyMeanUpdates(model, nk, sumMu, n)
 
-		// M pass 2: per-dimension variances.
+		// M pass: per-dimension variances.
 		for c := 0; c < k; c++ {
 			linalg.VecZero(sumVar[c])
 		}
 		err = factor.RunRowPass("igmm.mstep_var", nw, d, scan, factor.PassHooks{
-			NewAcc: getMAcc,
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*mAcc)
+			NewAcc: getAcc,
+			Fold: func(ac any, start int, rows, _ []float64, nr int) error {
+				a := ac.(*acc)
 				for i := 0; i < nr; i++ {
 					x := rows[i*d : (i+1)*d]
 					g := gamma[(start+i)*k : (start+i+1)*k]
@@ -211,13 +182,13 @@ func emDenseDiag(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) 
 				}
 				return nil
 			},
-			Merge: func(acc any) error {
-				a := acc.(*mAcc)
+			Merge: func(ac any) error {
+				a := ac.(*acc)
 				for c := 0; c < k; c++ {
 					linalg.VecAdd(sumVar[c], sumVar[c], a.sum[c])
 				}
 				stats.Ops.Add(a.ops)
-				mPool.Put(a)
+				pool.Put(a)
 				return nil
 			}})
 		if err != nil {
@@ -252,8 +223,9 @@ func applyDiagCovUpdates(model *Model, nk []float64, sumVar [][]float64, collaps
 
 // emFactorizedDiag is F-IGMM: like emFactorized but with per-relation
 // scalar caches (no cross blocks exist for a diagonal covariance). The
-// E-step runs on the chunked worker pool; the factorized M-step passes stay
-// sequential (see emFactorized).
+// E-step, which also folds the means and weights, runs on the chunked
+// worker pool; the factorized variance pass stays sequential (see
+// emFactorized).
 func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.P
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -269,24 +241,20 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 		ng    int
 		gamma []float64
 		logp  []float64
+		rows  meanRows
 	}
 	fdPool := sync.Pool{New: func() any { return &fdAcc{logp: make([]float64, k)} }}
 
-	nk := make([]float64, k)
-	sumMuParts := make([][][]float64, p.Parts())
+	means := newFactMeans(ps, k)
 	sumVarParts := make([][][]float64, p.Parts())
-	for i := range sumMuParts {
-		sumMuParts[i] = make([][]float64, k)
+	for i := range sumVarParts {
 		sumVarParts[i] = make([][]float64, k)
 		for c := 0; c < k; c++ {
-			sumMuParts[i][c] = make([]float64, p.Dims[i])
 			sumVarParts[i][c] = make([]float64, p.Dims[i])
 		}
 	}
-	sumMuFull := make([][]float64, k)
 	sumVarFull := make([][]float64, k)
 	for c := 0; c < k; c++ {
-		sumMuFull[c] = make([]float64, p.D)
 		sumVarFull[c] = make([]float64, p.D)
 	}
 
@@ -323,9 +291,10 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 			}
 		}
 
-		// E pass.
+		// E pass, folding the means and weights as the chunks merge.
 		ll := 0.0
 		idx := 0
+		means.reset()
 		err = ps.RunChunks(nw, join.ParallelCallbacks{
 			OnBlockStart: func(block []*storage.Tuple) error {
 				need := len(block) * k
@@ -333,6 +302,7 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 					qBlk = make([]float64, need)
 				}
 				qBlk = qBlk[:need]
+				means.startBlock(block)
 				off := p.Offs[1]
 				d1 := p.Dims[1]
 				return ps.FillCaches(nw, block, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
@@ -347,11 +317,13 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 				a := fdPool.Get().(*fdAcc)
 				a.ll, a.ops, a.ng = 0, core.Ops{}, 0
 				a.gamma = a.gamma[:0]
+				a.rows.reset()
 				return a
 			},
 			OnMatchChunk: func(state any, matches []join.Match) error {
 				a := state.(*fdAcc)
 				for _, m := range matches {
+					a.rows.add(m)
 					for c := 0; c < k; c++ {
 						qv := diagQuad(m.S.Features, model.Means[c][:dS], states[c].invVar[:dS])
 						a.ops.AddDiagQuad(dS)
@@ -377,90 +349,26 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 				idx += a.ng
 				ll += a.ll
 				stats.Ops.Add(a.ops)
+				means.absorb(&a.rows, a.gamma, &stats.Ops)
 				fdPool.Put(a)
 				return nil
 			},
-		})
-		if err != nil {
-			return err
-		}
-
-		// M pass 1: means and weights, grouped per dimension tuple.
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			for i := range sumMuParts {
-				linalg.VecZero(sumMuParts[i][c])
-			}
-		}
-		wRes := make([][]float64, q-1)
-		for j := 0; j < q-1; j++ {
-			wRes[j] = make([]float64, len(ps.Resident(j))*k)
-		}
-		idx = 0
-		ps.Pass = "igmm.mstep_means"
-		err = ps.Run(join.Callbacks{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				need := len(block) * k
-				if cap(wBlk) < need {
-					wBlk = make([]float64, need)
-				}
-				wBlk = wBlk[:need]
-				linalg.VecZero(wBlk)
-				curBlock = block
-				return nil
-			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-				g := gamma[idx*k : (idx+1)*k]
-				for c := 0; c < k; c++ {
-					nk[c] += g[c]
-					linalg.Axpy(g[c], s.Features, sumMuParts[0][c])
-					stats.Ops.AddAxpy(dS)
-					wBlk[r1Idx*k+c] += g[c]
-					for j, ri := range resIdx {
-						wRes[j][ri*k+c] += g[c]
-					}
-				}
-				idx++
-				return nil
-			},
 			OnBlockEnd: func() error {
-				for i, tp := range curBlock {
-					for c := 0; c < k; c++ {
-						linalg.Axpy(wBlk[i*k+c], tp.Features, sumMuParts[1][c])
-						stats.Ops.AddAxpy(p.Dims[1])
-					}
-				}
+				means.endBlock(&stats.Ops)
 				return nil
 			},
 		})
 		if err != nil {
 			return err
 		}
-		for j := 0; j < q-1; j++ {
-			for t, tp := range ps.Resident(j) {
-				for c := 0; c < k; c++ {
-					linalg.Axpy(wRes[j][t*k+c], tp.Features, sumMuParts[2+j][c])
-					stats.Ops.AddAxpy(p.Dims[2+j])
-				}
-			}
-		}
-		for c := 0; c < k; c++ {
-			for i := range sumMuParts {
-				copy(sumMuFull[c][p.Offs[i]:p.Offs[i]+p.Dims[i]], sumMuParts[i][c])
-			}
-		}
-		collapsed := applyMeanUpdates(model, nk, sumMuFull, n)
+		collapsed := applyMeanUpdates(model, means.nk, means.finish(ps, &stats.Ops), n)
 
-		// M pass 2: variances. The dimension contribution factors per
+		// M pass: variances. The dimension contribution factors per
 		// group: Σ_n γ (x_R−µ)² = (Σ_{n∈group} γ)·(x_R−µ)².
 		for c := 0; c < k; c++ {
 			for i := range sumVarParts {
 				linalg.VecZero(sumVarParts[i][c])
 			}
-		}
-		wRes2 := make([][]float64, q-1)
-		for j := 0; j < q-1; j++ {
-			wRes2[j] = make([]float64, len(ps.Resident(j))*k)
 		}
 		idx = 0
 		ps.Pass = "igmm.mstep_var"
@@ -475,7 +383,7 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 				curBlock = block
 				return nil
 			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
+			OnMatch: func(s *storage.Tuple, r1Idx int, _ []int) error {
 				g := gamma[idx*k : (idx+1)*k]
 				for c := 0; c < k; c++ {
 					mu := model.Means[c]
@@ -487,9 +395,6 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 					}
 					stats.Ops.AddDiagQuad(dS)
 					wBlk[r1Idx*k+c] += gc
-					for j, ri := range resIdx {
-						wRes2[j][ri*k+c] += gc
-					}
 				}
 				idx++
 				return nil
@@ -514,11 +419,12 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 		if err != nil {
 			return err
 		}
-		for j := 0; j < q-1; j++ {
+		// The resident groups' Σγ are the E-step's (γ is unchanged since).
+		for j, wRes := range means.wRes {
 			off := p.Offs[2+j]
 			for t, tp := range ps.Resident(j) {
 				for c := 0; c < k; c++ {
-					w := wRes2[j][t*k+c]
+					w := wRes[t*k+c]
 					mu := model.Means[c]
 					sv := sumVarParts[2+j][c]
 					for d2, v := range tp.Features {
@@ -534,7 +440,7 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 				copy(sumVarFull[c][p.Offs[i]:p.Offs[i]+p.Dims[i]], sumVarParts[i][c])
 			}
 		}
-		applyDiagCovUpdates(model, nk, sumVarFull, collapsed, cfg.RegEps)
+		applyDiagCovUpdates(model, means.nk, sumVarFull, collapsed, cfg.RegEps)
 
 		stats.LogLikelihood = append(stats.LogLikelihood, ll)
 		stats.Iters = iter + 1

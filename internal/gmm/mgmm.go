@@ -10,8 +10,9 @@ import (
 )
 
 // TrainM is the baseline M-GMM (Algorithm 1): materialize T = S ⋈ R1 ⋈ … on
-// disk (factor.MaterializedSource), then run EM reading T three times per
-// iteration. The temporary table is dropped when training finishes.
+// disk (factor.MaterializedSource), then run EM reading T twice per
+// iteration (see emDense). The temporary table is dropped when training
+// finishes.
 func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -20,7 +21,7 @@ func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 	start := time.Now()
 	io0 := db.Pool().Stats()
 
-	src, err := factor.NewMaterializedSource(db, spec, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
+	src, err := factor.NewMaterializedSource(db, spec, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name), cfg.BlockPages)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -81,25 +82,35 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelDeterminismDiagonal covers the diagonal-covariance (IGMM)
-// code paths, which have their own dense and factorized EM loops.
+// code paths, which have their own dense and factorized EM loops: a
+// single-block binary schema and a multi-way one with BlockPages=1, whose
+// E-step folds the means across block barriers and resident groups.
 func TestParallelDeterminismDiagonal(t *testing.T) {
 	trainers := map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
 		"M-IGMM": TrainM, "S-IGMM": TrainS, "F-IGMM": TrainF,
 	}
-	db := openDB(t)
-	spec := synthBinary(t, db, 1500, 60, 3, 4)
-	for name, train := range trainers {
-		cfg := Config{K: 3, MaxIter: 4, Tol: 1e-12, Diagonal: true}
-		cfg.NumWorkers = 1
-		r1, err := train(db, spec, cfg)
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", name, err)
+	for _, multi := range []bool{false, true} {
+		db := openDB(t)
+		var spec *join.Spec
+		if multi {
+			spec = synthMulti(t, db, 2000, []int{600, 25}, 3, []int{4, 2})
+			spec.BlockPages = 1
+		} else {
+			spec = synthBinary(t, db, 1500, 60, 3, 4)
 		}
-		cfg.NumWorkers = 4
-		r4, err := train(db, spec, cfg)
-		if err != nil {
-			t.Fatalf("%s workers=4: %v", name, err)
+		for name, train := range trainers {
+			cfg := Config{K: 3, MaxIter: 4, Tol: 1e-12, Diagonal: true}
+			cfg.NumWorkers = 1
+			r1, err := train(db, spec, cfg)
+			if err != nil {
+				t.Fatalf("%s workers=1: %v", name, err)
+			}
+			cfg.NumWorkers = 4
+			r4, err := train(db, spec, cfg)
+			if err != nil {
+				t.Fatalf("%s workers=4: %v", name, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("%s/multiway=%v", name, multi), r1, r4)
 		}
-		assertBitIdentical(t, name, r1, r4)
 	}
 }

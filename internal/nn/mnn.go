@@ -28,7 +28,7 @@ func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 	start := time.Now()
 	io0 := db.Pool().Stats()
 
-	src, err := factor.NewMaterializedSource(db, spec, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
+	src, err := factor.NewMaterializedSource(db, spec, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name), cfg.BlockPages)
 	if err != nil {
 		return nil, err
 	}

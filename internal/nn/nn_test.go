@@ -78,17 +78,26 @@ func TestExactnessBinaryEpoch(t *testing.T) {
 	}
 }
 
+// TestExactnessBinaryBlockMode: Block-mode mini-batches coincide across
+// M/S/F whether the block size comes from the spec or from the config
+// (which M-NN's materialization must honour like the streamed joins).
 func TestExactnessBinaryBlockMode(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 700, 600, 2, 1) // forces multiple BNL blocks
-	spec.BlockPages = 1
-	cfg := Config{Hidden: []int{6}, Act: Sigmoid, Epochs: 3, LearningRate: 0.1, Mode: Block}
-	m, s, f := trainAll3(t, db, spec, cfg)
-	if d := m.Net.MaxParamDiff(s.Net); d > 1e-9 {
-		t.Fatalf("M vs S param diff %v (block mode)", d)
-	}
-	if d := s.Net.MaxParamDiff(f.Net); d > 1e-7 {
-		t.Fatalf("S vs F param diff %v (block mode)", d)
+	for _, onSpec := range []bool{true, false} {
+		db := openDB(t)
+		spec := synthBinary(t, db, 700, 600, 2, 1) // forces multiple BNL blocks
+		cfg := Config{Hidden: []int{6}, Act: Sigmoid, Epochs: 3, LearningRate: 0.1, Mode: Block}
+		if onSpec {
+			spec.BlockPages = 1
+		} else {
+			cfg.BlockPages = 1
+		}
+		m, s, f := trainAll3(t, db, spec, cfg)
+		if d := m.Net.MaxParamDiff(s.Net); d > 1e-9 {
+			t.Fatalf("M vs S param diff %v (block mode, block size on spec: %v)", d, onSpec)
+		}
+		if d := s.Net.MaxParamDiff(f.Net); d > 1e-7 {
+			t.Fatalf("S vs F param diff %v (block mode, block size on spec: %v)", d, onSpec)
+		}
 	}
 }
 

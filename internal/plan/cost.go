@@ -11,16 +11,15 @@ import (
 // core.FillQuadCache/FactQuad), composed with Ops.Add and Ops.Scale:
 //
 //	dense EM, per row, per component, per iteration
-//	    E:  sub(d) + quadform(d)
-//	    M1: axpy(d)
-//	    M2: sub(d) + outer(d,d)
+//	    E:  sub(d) + quadform(d) + axpy(d)      (the means fold into E)
+//	    M:  sub(d) + outer(d,d)
 //	factorized EM, per iteration
 //	    cache fills, per dimension tuple of relation i, per component:
 //	        sub(wᵢ) + quadform(wᵢ) + matvec(dS×wᵢ)          (Eq. 7–12)
 //	    E, per match:  sub(dS) + quadform(dS)
 //	                   + Σᵢ dot(dS) + Σᵢ<ⱼ bilinear(wᵢ×wⱼ)   (Eq. 19–21)
-//	    M1: axpy(dS) per match + axpy(wᵢ) per dimension tuple (Eq. 22)
-//	    M2: sub(dS) + outer(dS,dS) + q·axpy(dS) + cross outers per match;
+//	       means: axpy(dS) per match + axpy(wᵢ) per dimension tuple (Eq. 22)
+//	    M:  sub(dS) + outer(dS,dS) + q·axpy(dS) + cross outers per match;
 //	        sub(wᵢ) + outer(wᵢ,wᵢ) + 2·outer(dS,wᵢ) per tuple (Eq. 23–24)
 //
 // and the NN equivalents (§VI-A1/A3). The I/O model is the paper's
@@ -86,13 +85,13 @@ func denseGMMIter(sh shape, k int, diagonal bool) core.Ops {
 	var kernel core.Ops // per row, per component
 	if diagonal {
 		kernel.AddDiagQuad(sh.d) // E
-		kernel.AddAxpy(sh.d)     // M1
-		kernel.AddDiagQuad(sh.d) // M2
+		kernel.AddAxpy(sh.d)     // E: means
+		kernel.AddDiagQuad(sh.d) // M
 	} else {
 		kernel.AddSub(sh.d) // E: PD
 		kernel.AddQuadForm(sh.d)
-		kernel.AddAxpy(sh.d) // M1
-		kernel.AddSub(sh.d)  // M2: PD
+		kernel.AddAxpy(sh.d) // E: means
+		kernel.AddSub(sh.d)  // M: PD
 		kernel.AddOuter(sh.d, sh.d)
 	}
 	return kernel.Scale(int64(k) * sh.n)
@@ -101,24 +100,24 @@ func denseGMMIter(sh shape, k int, diagonal bool) core.Ops {
 // factGMMIter prices one factorized EM iteration.
 func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 	var total core.Ops
-	// Per-dimension-tuple work: cache fills (E), mean flushes (M1),
-	// PD setup + covariance flushes (M2) — once per distinct tuple per
+	// Per-dimension-tuple work: cache fills and mean flushes (E), PD
+	// setup + covariance flushes (M) — once per distinct tuple per
 	// iteration, per component; this is the per-group reuse the strategy
 	// buys with fan-out.
 	for i, wi := range sh.w {
 		var perTuple core.Ops
 		if diagonal {
 			perTuple.AddDiagQuad(wi) // E cache
-			perTuple.AddAxpy(wi)     // M1 flush
-			perTuple.AddDiagQuad(wi) // M2 flush
+			perTuple.AddAxpy(wi)     // E: mean flush
+			perTuple.AddDiagQuad(wi) // M flush
 		} else {
 			perTuple.AddSub(wi) // E cache: PD
 			perTuple.AddQuadForm(wi)
 			perTuple.AddMatVec(sh.dS, wi) // E cache: CrossS
-			perTuple.AddAxpy(wi)          // M1 flush
-			perTuple.AddSub(wi)           // M2: PD with new means
-			perTuple.AddOuter(wi, wi)     // M2: diagonal block
-			perTuple.AddOuter(sh.dS, wi)  // M2: S-R cross
+			perTuple.AddAxpy(wi)          // E: mean flush
+			perTuple.AddSub(wi)           // M: PD with new means
+			perTuple.AddOuter(wi, wi)     // M: diagonal block
+			perTuple.AddOuter(sh.dS, wi)  // M: S-R cross
 			perTuple.AddOuter(wi, sh.dS)
 		}
 		total.Add(perTuple.Scale(int64(k) * sh.m[i]))
@@ -128,8 +127,8 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 	if diagonal {
 		perMatch.AddDiagQuad(sh.dS) // E
 		perMatch.Adds += int64(sh.q)
-		perMatch.AddAxpy(sh.dS)     // M1
-		perMatch.AddDiagQuad(sh.dS) // M2
+		perMatch.AddAxpy(sh.dS)     // E: means
+		perMatch.AddDiagQuad(sh.dS) // M
 	} else {
 		perMatch.AddSub(sh.dS) // E: PD_S
 		perMatch.AddQuadForm(sh.dS)
@@ -145,13 +144,13 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 				perMatch.Mul++
 			}
 		}
-		perMatch.AddAxpy(sh.dS) // M1
-		perMatch.AddSub(sh.dS)  // M2: PD_S
+		perMatch.AddAxpy(sh.dS) // E: means
+		perMatch.AddSub(sh.dS)  // M: PD_S
 		perMatch.AddOuter(sh.dS, sh.dS)
-		for i := 0; i < sh.q; i++ { // M2: γ-weighted PD_S sums per group
+		for i := 0; i < sh.q; i++ { // M: γ-weighted PD_S sums per group
 			perMatch.AddAxpy(sh.dS)
 		}
-		for i := 0; i < sh.q; i++ { // M2: dimension-dimension cross blocks
+		for i := 0; i < sh.q; i++ { // M: dimension-dimension cross blocks
 			for j := i + 1; j < sh.q; j++ {
 				perMatch.AddOuter(sh.w[i], sh.w[j])
 				perMatch.AddOuter(sh.w[j], sh.w[i])
@@ -296,11 +295,12 @@ func (ss *SchemaStats) tPages() int64 {
 // estimatePages prices the page accesses (reads + writes) of a run.
 func estimatePages(ss *SchemaStats, m ModelSpec, s Strategy) int64 {
 	// Passes over the data: EM reads the rows once for initialization and
-	// three times per iteration; SGD once per epoch.
+	// twice per iteration (the E-step, which also sums the means, then the
+	// covariances); SGD once per epoch.
 	var passes int64
 	switch m.Family {
 	case FamilyGMM:
-		passes = 1 + 3*int64(m.Iters)
+		passes = 1 + 2*int64(m.Iters)
 	case FamilyNN:
 		passes = int64(m.Epochs)
 	}
