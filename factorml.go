@@ -66,6 +66,7 @@ import (
 	"factorml/internal/data"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/metrics"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
@@ -568,18 +569,14 @@ func (t *FactTable) Flush() error { return t.tbl.Flush() }
 // has one, naming the column: a single such value makes every model
 // trained over the table fail or train to NaN.
 func checkFinite(s *storage.Schema, features []float64, target float64) error {
-	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	for i, v := range features {
-		if !bad(v) {
-			continue
-		}
+	if i := linalg.NonFinite(features); i >= 0 {
 		col := fmt.Sprintf("#%d", i)
 		if i < len(s.Features) {
 			col = s.Features[i]
 		}
-		return fmt.Errorf("factorml: table %q: feature %s is %v; values must be finite", s.Name, col, v)
+		return fmt.Errorf("factorml: table %q: feature %s is %v; values must be finite", s.Name, col, features[i])
 	}
-	if s.HasTarget && bad(target) {
+	if s.HasTarget && (math.IsNaN(target) || math.IsInf(target, 0)) {
 		return fmt.Errorf("factorml: table %q: target is %v; values must be finite", s.Name, target)
 	}
 	return nil

@@ -52,6 +52,9 @@ const (
 	// CodeRowWidthMismatch marks a prediction row whose fact feature
 	// vector has the wrong width for the model.
 	CodeRowWidthMismatch = "row_width_mismatch"
+	// CodeNonFiniteFeature marks a prediction row whose fact features
+	// include a NaN or ±Inf value.
+	CodeNonFiniteFeature = "non_finite_feature"
 	// CodeFKCountMismatch marks a prediction row carrying the wrong
 	// number of foreign keys for the schema.
 	CodeFKCountMismatch = "fk_count_mismatch"

@@ -67,6 +67,30 @@ func TestBlockSymAssembleRoundTrip(t *testing.T) {
 	}
 }
 
+// MirrorUpper must rebuild a symmetric matrix from its upper half alone:
+// the diagonal blocks' upper triangles and the blocks above the diagonal.
+func TestMirrorUpperRestoresSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := NewPartition([]int{3, 1, 4, 2})
+	m := randSPD(rng, p.D)
+	bs := BlockSym(m, p)
+	for i := range bs.B {
+		d := bs.B[i][i].Data()
+		for r := 0; r < p.Dims[i]; r++ {
+			for c := 0; c < r; c++ {
+				d[r*p.Dims[i]+c] = -1
+			}
+		}
+		for j := 0; j < i; j++ {
+			bs.B[i][j].Zero()
+		}
+	}
+	bs.MirrorUpper()
+	if !bs.Assemble().Equalish(m, 0) {
+		t.Fatalf("MirrorUpper did not restore the matrix:\n%v\nwant\n%v", bs.Assemble(), m)
+	}
+}
+
 func TestNewBlockedZeroShapes(t *testing.T) {
 	p := NewPartition([]int{1, 4})
 	bs := NewBlockedZero(p)
@@ -160,6 +184,17 @@ func TestOpsAccounting(t *testing.T) {
 	o.AddDot(4)
 	if o.Mul != 4 || o.Adds != 3 {
 		t.Fatalf("AddDot: %+v", o)
+	}
+	o = Ops{}
+	o.AddOuterUpper(4)
+	if o.Mul != 10 || o.Adds != 10 {
+		t.Fatalf("AddOuterUpper: %+v", o)
+	}
+	o = Ops{}
+	o.AddScale(3)
+	o.AddSub(5)
+	if o.Mul != 3 || o.Adds != 5 {
+		t.Fatalf("AddScale+AddSub: %+v", o)
 	}
 	a := Ops{Mul: 5, Adds: 2}
 	b := Ops{Mul: 1, Adds: 1}

@@ -41,6 +41,15 @@ func (o *Ops) AddOuter(r, c int) {
 	o.Adds += int64(r) * int64(c)
 }
 
+// AddOuterUpper charges an unweighted outer-product accumulation x·yᵀ into
+// the upper triangle (diagonal included) of a d×d block: one multiply and
+// one add per cell of the triangle.
+func (o *Ops) AddOuterUpper(d int) {
+	cells := int64(d) * int64(d+1) / 2
+	o.Mul += cells
+	o.Adds += cells
+}
+
 // AddOuterPlain charges an unweighted outer-product accumulation x·yᵀ into
 // an r×c block (one multiply and one add per cell; no scalar weight).
 func (o *Ops) AddOuterPlain(r, c int) {
@@ -62,9 +71,15 @@ func (o *Ops) AddDot(n int) {
 	o.Adds += int64(n - 1)
 }
 
-// AddSub charges n element-wise subtractions (e.g. forming PD = x − µ).
+// AddSub charges n element-wise additions or subtractions: forming
+// PD = x − µ, or adding one vector into a running sum (y += x).
 func (o *Ops) AddSub(n int) {
 	o.Adds += int64(n)
+}
+
+// AddScale charges dst = a·x over n elements.
+func (o *Ops) AddScale(n int) {
+	o.Mul += int64(n)
 }
 
 // AddAxpy charges y += a·x over n elements.

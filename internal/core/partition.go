@@ -88,6 +88,32 @@ func (bs *BlockedSym) AssembleInto(dst *linalg.Dense) {
 	}
 }
 
+// MirrorUpper completes a symmetric matrix of which only the upper half was
+// accumulated: the upper triangle of each diagonal block B[i][i] is copied
+// into its lower triangle, and each block B[i][j] (i < j) is copied,
+// transposed, into B[j][i]. It overwrites in place and allocates nothing.
+func (bs *BlockedSym) MirrorUpper() {
+	dims := bs.P.Dims
+	for i, row := range bs.B {
+		ni := dims[i]
+		d := row[i].Data()
+		for r := 0; r < ni; r++ {
+			for c := r + 1; c < ni; c++ {
+				d[c*ni+r] = d[r*ni+c]
+			}
+		}
+		for j := i + 1; j < len(row); j++ {
+			nj := dims[j]
+			up, lo := row[j].Data(), bs.B[j][i].Data()
+			for r := 0; r < ni; r++ {
+				for c := 0; c < nj; c++ {
+					lo[c*ni+r] = up[r*nj+c]
+				}
+			}
+		}
+	}
+}
+
 // Zero clears every block in place, recycling the accumulator across EM
 // iterations.
 func (bs *BlockedSym) Zero() {

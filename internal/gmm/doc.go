@@ -17,8 +17,11 @@
 // parameters at every iteration (verified by tests to ~1e-9). Binary joins
 // and multi-way star joins are both supported; the multi-way factorization
 // follows §V-C (diagonal blocks and PD vectors of each dimension relation
-// are reused; cross-dimension blocks are evaluated per joined tuple through
-// the cached PDs).
+// are reused). The covariance pass goes further than §V-C: the cross block
+// between two dimension relations is grouped by the tuples of the first
+// one as well, Σ_n γ·PD_Ra·PD_Rbᵀ = Σ_{t∈Ra} PD_Ra(t)·(Σ_{n∈group t}
+// γ·PD_Rb)ᵀ, so per joined tuple only the fact block (its upper triangle)
+// and the group sums grow.
 //
 // Numerical notes: responsibilities are computed in log space with
 // log-sum-exp (this affects all three algorithms identically, so exactness

@@ -67,8 +67,9 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 // log-likelihood/γ buffers merged in chunk order, and the merge also folds
 // the means and weights (factMeans). The model is therefore bit-identical
 // for every worker count. The covariance pass stays sequential:
-// factorization already collapses its per-tuple work to the small fact
-// part plus per-group flushes.
+// factorization already collapses its per-match work to the upper
+// triangle of the fact block plus one group-sum axpy per dimension pair,
+// with everything else flushed once per dimension tuple.
 func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.P
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -78,7 +79,15 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 
 	gamma := make([]float64, n*k)
 	pds := make([]float64, dS)
+	gp := make([]float64, dS)     // γ·PD_S of the current match and component
 	pdBuf := make([][]float64, q) // per-part PD pointers for cross terms
+	hBuf := make([][]float64, q)  // per-part cross group sums of the match
+	// tail[a] is the width of the dimension parts after part 1+a: the
+	// length of the cross group sums a tuple of part 1+a carries.
+	tail := make([]int, q)
+	for a := q - 2; a >= 0; a-- {
+		tail[a] = tail[a+1] + p.Dims[2+a]
+	}
 
 	// feAcc is the per-chunk E-step accumulator: responsibilities for the
 	// chunk's matches plus the partial log-likelihood. caches[j] is the
@@ -107,6 +116,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	var pdBlk [][]float64         // M: PD per (block tuple, component)
 	var wBlk []float64            // M: group responsibility sums
 	var gvecBlk [][]float64       // M: Σ γ·PD_S per group
+	var hBlk [][]float64          // M: Σ γ·PD_Rb per group, resident parts b
 	var curBlock []*storage.Tuple // current R1 block, shared across callbacks
 
 	// Per-iteration accumulators hoisted out of the EM loop (the resident
@@ -117,15 +127,18 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	resCache := make([][]core.QuadCache, q-1) // E-step resident caches
 	pdRes := make([][][]float64, q-1)         // M resident PDs
 	gvecRes := make([][][]float64, q-1)       // M Σ γ·PD_S per resident group
+	hRes := make([][][]float64, q-1)          // M Σ γ·PD_Rb per resident group, later parts b
 	for j := 0; j < q-1; j++ {
 		nt := len(ps.Resident(j))
 		resCache[j] = make([]core.QuadCache, nt*k)
 		pdRes[j] = make([][]float64, nt*k)
 		gvecRes[j] = make([][]float64, nt*k)
+		hRes[j] = make([][]float64, nt*k)
 		dRj := p.Dims[2+j]
 		for i := range pdRes[j] {
 			pdRes[j][i] = make([]float64, dRj)
 			gvecRes[j][i] = make([]float64, dS)
+			hRes[j][i] = make([]float64, tail[1+j])
 		}
 	}
 	acc := make([]*core.BlockedSym, k) // M covariance accumulators
@@ -133,6 +146,18 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	for c := 0; c < k; c++ {
 		acc[c] = core.NewBlockedZero(p)
 		sumCov[c] = linalg.NewDense(p.D, p.D)
+	}
+
+	// flushCross adds a tuple of part 1+a's cross blocks,
+	// B[1+a][1+b] += PD_Ra ⊗ h_b for every later part b, where h holds
+	// the group sums h_b back to back.
+	flushCross := func(bs *core.BlockedSym, a int, pd, h []float64) {
+		for b := a + 1; b < q; b++ {
+			d := p.Dims[1+b]
+			linalg.OuterAccum(bs.B[1+a][1+b], 1, pd, h[:d])
+			stats.Ops.AddOuter(p.Dims[1+a], d)
+			h = h[d:]
+		}
 	}
 
 	prevLL := math.Inf(-1)
@@ -229,12 +254,14 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 
 		// ------------------------------------------------------------------
 		// M-step pass: covariances (Eq. 14-18 / 23-24) with the new means.
-		// Diagonal dimension blocks use the group trick
-		//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ,
-		// and the S-R cross blocks use
-		//   Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈group} γ PD_S) ⊗ PD_R.
-		// Cross blocks between two dimension relations are accumulated per
-		// joined tuple through the cached PDs (paper §V-C).
+		// Every block is grouped by the tuple of a dimension relation:
+		//   Σ_n γ PD_R PD_Rᵀ   = (Σ_{n∈group} γ) · PD_R PD_Rᵀ,
+		//   Σ_n γ PD_S PD_Rᵀ   = (Σ_{n∈group} γ PD_S) ⊗ PD_R,
+		//   Σ_n γ PD_Ra PD_Rbᵀ = PD_Ra ⊗ (Σ_{n∈group of Ra} γ PD_Rb),
+		// so per match only the fact block and the group sums grow. Only
+		// the upper half of the symmetric accumulator is summed (B[0][0]'s
+		// upper triangle and the blocks B[a][b], a < b); MirrorUpper fills
+		// in the rest once per iteration.
 		// ------------------------------------------------------------------
 		for c := 0; c < k; c++ {
 			acc[c].Zero()
@@ -246,6 +273,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					linalg.VecSub(pdRes[j][t*k+c], tp.Features, p.Slice(model.Means[c], 2+j))
 					stats.Ops.AddSub(dRj)
 					linalg.VecZero(gvecRes[j][t*k+c])
+					linalg.VecZero(hRes[j][t*k+c])
 				}
 			}
 		}
@@ -258,9 +286,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				if cap(pdBlk) < need {
 					pdBlk = make([][]float64, need)
 					gvecBlk = make([][]float64, need)
+					hBlk = make([][]float64, need)
 				}
 				pdBlk = pdBlk[:need]
 				gvecBlk = gvecBlk[:need]
+				hBlk = hBlk[:need]
 				if cap(wBlk) < need {
 					wBlk = make([]float64, need)
 				}
@@ -272,10 +302,12 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 						if pdBlk[i*k+c] == nil {
 							pdBlk[i*k+c] = make([]float64, dR1)
 							gvecBlk[i*k+c] = make([]float64, dS)
+							hBlk[i*k+c] = make([]float64, tail[0])
 						}
 						linalg.VecSub(pdBlk[i*k+c], tp.Features, p.Slice(model.Means[c], 1))
 						stats.Ops.AddSub(dR1)
 						linalg.VecZero(gvecBlk[i*k+c])
+						linalg.VecZero(hBlk[i*k+c])
 					}
 				}
 				curBlock = block
@@ -284,26 +316,33 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
 				g := gamma[idx*k : (idx+1)*k]
 				for c := 0; c < k; c++ {
+					gc := g[c]
 					linalg.VecSub(pds, s.Features, p.Slice(model.Means[c], 0))
 					stats.Ops.AddSub(dS)
-					linalg.OuterAccum(acc[c].B[0][0], g[c], pds, pds)
-					stats.Ops.AddOuter(dS, dS)
-					wBlk[r1Idx*k+c] += g[c]
-					linalg.Axpy(g[c], pds, gvecBlk[r1Idx*k+c])
-					stats.Ops.AddAxpy(dS)
-					pdBuf[0] = pdBlk[r1Idx*k+c]
+					linalg.VecScale(gp, gc, pds)
+					stats.Ops.AddScale(dS)
+					linalg.OuterAccumUpper(acc[c].B[0][0], gp, pds)
+					stats.Ops.AddOuterUpper(dS)
+					wBlk[r1Idx*k+c] += gc
+					gv := gvecBlk[r1Idx*k+c]
+					linalg.VecAdd(gv, gv, gp)
+					stats.Ops.AddSub(dS)
+					pdBuf[0], hBuf[0] = pdBlk[r1Idx*k+c], hBlk[r1Idx*k+c]
 					for j, ri := range resIdx {
-						linalg.Axpy(g[c], pds, gvecRes[j][ri*k+c])
-						stats.Ops.AddAxpy(dS)
-						pdBuf[1+j] = pdRes[j][ri*k+c]
+						gv = gvecRes[j][ri*k+c]
+						linalg.VecAdd(gv, gv, gp)
+						stats.Ops.AddSub(dS)
+						pdBuf[1+j], hBuf[1+j] = pdRes[j][ri*k+c], hRes[j][ri*k+c]
 					}
-					// Cross blocks between dimension relations (multi-way).
-					for a := 0; a < q; a++ {
+					// Cross group sums: the tuple of each part 1+a collects
+					// γ·PD_Rb of every later part b.
+					for a := 0; a+1 < q; a++ {
+						h := hBuf[a]
 						for b := a + 1; b < q; b++ {
-							linalg.OuterAccum(acc[c].B[1+a][1+b], g[c], pdBuf[a], pdBuf[b])
-							stats.Ops.AddOuter(p.Dims[1+a], p.Dims[1+b])
-							linalg.OuterAccum(acc[c].B[1+b][1+a], g[c], pdBuf[b], pdBuf[a])
-							stats.Ops.AddOuter(p.Dims[1+b], p.Dims[1+a])
+							d := p.Dims[1+b]
+							linalg.Axpy(gc, pdBuf[b], h[:d])
+							stats.Ops.AddAxpy(d)
+							h = h[d:]
 						}
 					}
 				}
@@ -315,13 +354,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				for i := range curBlock {
 					for c := 0; c < k; c++ {
 						pd := pdBlk[i*k+c]
-						gv := gvecBlk[i*k+c]
 						linalg.OuterAccum(acc[c].B[1][1], wBlk[i*k+c], pd, pd)
 						stats.Ops.AddOuter(dR1, dR1)
-						linalg.OuterAccum(acc[c].B[0][1], 1, gv, pd)
+						linalg.OuterAccum(acc[c].B[0][1], 1, gvecBlk[i*k+c], pd)
 						stats.Ops.AddOuter(dS, dR1)
-						linalg.OuterAccum(acc[c].B[1][0], 1, pd, gv)
-						stats.Ops.AddOuter(dR1, dS)
+						flushCross(acc[c], 0, pd, hBlk[i*k+c])
 					}
 				}
 				return nil
@@ -336,17 +373,16 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			for t := range ps.Resident(j) {
 				for c := 0; c < k; c++ {
 					pd := pdRes[j][t*k+c]
-					gv := gvecRes[j][t*k+c]
 					linalg.OuterAccum(acc[c].B[2+j][2+j], wRes[t*k+c], pd, pd)
 					stats.Ops.AddOuter(dRj, dRj)
-					linalg.OuterAccum(acc[c].B[0][2+j], 1, gv, pd)
+					linalg.OuterAccum(acc[c].B[0][2+j], 1, gvecRes[j][t*k+c], pd)
 					stats.Ops.AddOuter(dS, dRj)
-					linalg.OuterAccum(acc[c].B[2+j][0], 1, pd, gv)
-					stats.Ops.AddOuter(dRj, dS)
+					flushCross(acc[c], 1+j, pd, hRes[j][t*k+c])
 				}
 			}
 		}
 		for c := 0; c < k; c++ {
+			acc[c].MirrorUpper()
 			acc[c].AssembleInto(sumCov[c])
 		}
 		applyCovUpdates(model, means.nk, sumCov, collapsed, cfg.RegEps)

@@ -102,22 +102,39 @@ func TestExactnessMultiway(t *testing.T) {
 	}
 }
 
-// Exactness must hold when the dimension table spans multiple BNL blocks.
+// Exactness must hold for S-GMM and F-GMM when R1 spans multiple BNL blocks,
+// so F-GMM's R1 groups flush at every block barrier: a binary star, and a
+// 4-way star whose resident–resident cross block is grouped by the first
+// resident's tuples.
 func TestExactnessMultiBlock(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 800, 600, 2, 1) // R: 600 tuples, 16B records
-	spec.BlockPages = 1
-	cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12, BlockPages: 1}
-	s, err := TrainS(db, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := TrainF(db, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Model.MaxParamDiff(f.Model); d > 1e-7 {
-		t.Fatalf("S vs F param diff %v with multiple blocks", d)
+	for _, multi := range []bool{false, true} {
+		db := openDB(t)
+		var spec *join.Spec
+		if multi {
+			spec = synthMulti(t, db, 1500, []int{600, 25, 10}, 3, []int{4, 3, 2})
+		} else {
+			spec = synthBinary(t, db, 800, 600, 2, 1) // R: 600 tuples, 16B records
+		}
+		spec.BlockPages = 1
+		cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12, BlockPages: 1}
+		m, err := TrainM(db, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := TrainS(db, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := TrainF(db, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m.Model.MaxParamDiff(s.Model); d > 1e-9 {
+			t.Fatalf("multiway=%v: M vs S param diff %v with multiple blocks", multi, d)
+		}
+		if d := m.Model.MaxParamDiff(f.Model); d > 1e-9 {
+			t.Fatalf("multiway=%v: M vs F param diff %v with multiple blocks", multi, d)
+		}
 	}
 }
 
@@ -178,9 +195,9 @@ func TestFactorizedSavesOps(t *testing.T) {
 }
 
 // §V-B closed form for the Σ-step (Eq. 14): per S tuple the monolithic
-// computation spends d² multiplications, the factorized one
-// dS² + 2·dS·dR, plus dR² once per R tuple. Verify the measured per-pass
-// counter difference matches.
+// computation spends d² multiplications, the factorized one only the upper
+// triangle of dS², plus dR² + dS·dR once per R tuple. Verify the measured
+// per-pass counter difference matches.
 func TestSigmaStepSavingRateMatchesClosedForm(t *testing.T) {
 	db := openDB(t)
 	nS, nR, dS, dR := 500, 25, 3, 5
@@ -198,10 +215,10 @@ func TestSigmaStepSavingRateMatchesClosedForm(t *testing.T) {
 	// Count only outer-product multiplications of the Σ pass (K=1, 1 iter).
 	// Dense: per tuple AddOuter(d,d) = d² + d.
 	denseSigma := int64(nS) * int64(d*d+d)
-	// Factorized: per tuple AddOuter(dS,dS) + Axpy(dS) [gvec];
-	// per R tuple AddOuter(dR,dR) + AddOuter(dS,dR) + AddOuter(dR,dS).
-	factSigma := int64(nS)*int64(dS*dS+dS+dS) +
-		int64(nR)*int64((dR*dR+dR)+(dS*dR+dS)+(dR*dS+dR))
+	// Factorized: per tuple AddScale(dS) [γ·PD_S] + AddOuterUpper(dS);
+	// per R tuple AddOuter(dR,dR) + AddOuter(dS,dR).
+	factSigma := int64(nS)*int64(dS+dS*(dS+1)/2) +
+		int64(nR)*int64((dR*dR+dR)+(dS*dR+dS))
 	wantDelta := denseSigma - factSigma
 
 	// Isolate the Σ pass by subtracting everything else: run the same

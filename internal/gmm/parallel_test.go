@@ -37,29 +37,33 @@ func assertBitIdentical(t *testing.T, name string, r1, rn *Result) {
 }
 
 // TestParallelDeterminism is the engine's headline guarantee: for all three
-// execution strategies the model trained with 4 workers is bit-for-bit the
-// model trained sequentially. A binary and a multi-way schema are covered,
-// the binary one with BlockPages=1 to force multi-block chunk barriers.
+// execution strategies the models trained with 2 and 4 workers are
+// bit-for-bit the model trained sequentially. A binary, a 3-way and a 4-way
+// schema are covered; the binary and 4-way ones use BlockPages=1, so chunks
+// and the covariance pass's R1 group flushes cross block barriers, and the
+// 4-way one has a resident–resident cross block.
 func TestParallelDeterminism(t *testing.T) {
 	trainers := map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
 		"M-GMM": TrainM, "S-GMM": TrainS, "F-GMM": TrainF,
 	}
 	schemas := []struct {
-		name  string
-		multi bool
+		name string
+		make func(db *storage.Database) *join.Spec
 	}{
-		{"binary", false},
-		{"multiway", true},
+		// 600 dimension tuples span several pages, so BlockPages=1
+		// exercises multi-block chunk barriers.
+		{"binary", func(db *storage.Database) *join.Spec { return synthBinary(t, db, 2000, 600, 3, 5) }},
+		{"multiway", func(db *storage.Database) *join.Spec {
+			return synthMulti(t, db, 1500, []int{60, 25}, 3, []int{4, 2})
+		}},
+		{"4-way", func(db *storage.Database) *join.Spec {
+			return synthMulti(t, db, 2000, []int{600, 25, 10}, 3, []int{4, 3, 2})
+		}},
 	}
 	for _, sc := range schemas {
 		db := openDB(t)
-		var spec *join.Spec
-		if sc.multi {
-			spec = synthMulti(t, db, 1500, []int{60, 25}, 3, []int{4, 2})
-		} else {
-			// 600 dimension tuples span several pages, so BlockPages=1
-			// exercises multi-block chunk barriers.
-			spec = synthBinary(t, db, 2000, 600, 3, 5)
+		spec := sc.make(db)
+		if sc.name != "multiway" {
 			spec.BlockPages = 1
 		}
 		for name, train := range trainers {

@@ -134,6 +134,26 @@ func OuterAccum(dst *Dense, w float64, x, y []float64) {
 	}
 }
 
+// OuterAccumUpper accumulates the upper triangle (diagonal included) of
+// dst += x·yᵀ for square dst, leaving the lower triangle untouched. When
+// x·yᵀ is symmetric (x a multiple of y) the triangle carries the whole
+// product at half the work; the caller mirrors it once at the end.
+func OuterAccumUpper(dst *Dense, x, y []float64) {
+	n := dst.rows
+	if dst.cols != n || len(x) != n || len(y) != n {
+		panic(fmt.Sprintf("linalg: upper outer dimension mismatch dst=%dx%d x=%d y=%d", dst.rows, dst.cols, len(x), len(y)))
+	}
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		row := dst.data[i*n+i : (i+1)*n]
+		for j, yj := range y[i:] {
+			row[j] += xi * yj
+		}
+	}
+}
+
 // OuterAccumAt accumulates dst[i0+i][j0+j] += w·x[i]·y[j] — an outer-product
 // accumulation into a sub-block of dst (used by the factorized NN gradient,
 // whose layer-1 weight matrix is column-partitioned across relations).

@@ -200,6 +200,17 @@ func TestMatVecRangeBoundsPanic(t *testing.T) {
 	MatVecRange(make([]float64, 2), NewDense(2, 3), 2, []float64{1, 1})
 }
 
+func TestOuterAccumUpper(t *testing.T) {
+	dst := NewDenseData(3, 3, []float64{0, 0, 0, 7, 0, 0, 7, 7, 0})
+	OuterAccumUpper(dst, []float64{2, 0, 4}, []float64{1, 2, 3})
+	want := NewDenseData(3, 3, []float64{2, 4, 6, 7, 0, 0, 7, 7, 12})
+	if !dst.Equalish(want, 0) {
+		t.Fatalf("OuterAccumUpper = %v, want %v", dst, want)
+	}
+	defer expectPanic(t, "upper outer on a non-square destination")
+	OuterAccumUpper(NewDense(2, 3), []float64{1, 2}, []float64{1, 2})
+}
+
 func TestOuterAccumAt(t *testing.T) {
 	dst := NewDense(3, 4)
 	OuterAccumAt(dst, 1, 2, 1, []float64{1, 2}, []float64{3, 4})

@@ -64,6 +64,16 @@ func VecZero(x []float64) {
 	}
 }
 
+// NonFinite returns the index of the first NaN or ±Inf in x, or -1.
+func NonFinite(x []float64) int {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))

@@ -19,14 +19,21 @@ import (
 //	    E, per match:  sub(dS) + quadform(dS)
 //	                   + Σᵢ dot(dS) + Σᵢ<ⱼ bilinear(wᵢ×wⱼ)   (Eq. 19–21)
 //	       means: axpy(dS) per match + axpy(wᵢ) per dimension tuple (Eq. 22)
-//	    M:  sub(dS) + outer(dS,dS) + q·axpy(dS) + cross outers per match;
-//	        sub(wᵢ) + outer(wᵢ,wᵢ) + 2·outer(dS,wᵢ) per tuple (Eq. 23–24)
+//	    M, per match:  sub(dS) + scale(dS) + upper-triangle outer(dS)
+//	                   + q·vecadd(dS) + Σᵢ<ⱼ axpy(wⱼ)
+//	       per tuple of relation i:  sub(wᵢ) + outer(wᵢ,wᵢ) + outer(dS,wᵢ)
+//	                   + Σⱼ>ᵢ outer(wᵢ,wⱼ)                    (Eq. 23–24)
 //
 // and the NN equivalents (§VI-A1/A3). The I/O model is the paper's
 // block-nested-loops accounting: each pass reads R1 once and rescans S
 // once per R1 block; Materialized pays one join plus writing T, then reads
 // T per pass. Buffer-pool caching is deliberately ignored (pessimistic for
 // re-reads, uniformly across strategies).
+//
+// Every factorized M-step block is grouped by the tuple of a dimension
+// relation: the fact block and the group sums (Σγ, Σγ·PD_S, and Σγ·PD_Rⱼ
+// for each later relation j) grow per match, everything else is flushed
+// once per tuple, and only the upper half of the symmetric Σ is summed.
 
 // shape extracts the quantities the formulas need.
 type shape struct {
@@ -118,7 +125,9 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 			perTuple.AddSub(wi)           // M: PD with new means
 			perTuple.AddOuter(wi, wi)     // M: diagonal block
 			perTuple.AddOuter(sh.dS, wi)  // M: S-R cross
-			perTuple.AddOuter(wi, sh.dS)
+			for _, wj := range sh.w[i+1:] {
+				perTuple.AddOuter(wi, wj) // M: R-R cross, grouped by this tuple
+			}
 		}
 		total.Add(perTuple.Scale(int64(k) * sh.m[i]))
 	}
@@ -144,16 +153,16 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 				perMatch.Mul++
 			}
 		}
-		perMatch.AddAxpy(sh.dS) // E: means
-		perMatch.AddSub(sh.dS)  // M: PD_S
-		perMatch.AddOuter(sh.dS, sh.dS)
-		for i := 0; i < sh.q; i++ { // M: γ-weighted PD_S sums per group
-			perMatch.AddAxpy(sh.dS)
+		perMatch.AddAxpy(sh.dS)  // E: means
+		perMatch.AddSub(sh.dS)   // M: PD_S
+		perMatch.AddScale(sh.dS) // M: γ·PD_S
+		perMatch.AddOuterUpper(sh.dS)
+		for i := 0; i < sh.q; i++ { // M: γ·PD_S into each group's sum
+			perMatch.AddSub(sh.dS)
 		}
-		for i := 0; i < sh.q; i++ { // M: dimension-dimension cross blocks
-			for j := i + 1; j < sh.q; j++ {
-				perMatch.AddOuter(sh.w[i], sh.w[j])
-				perMatch.AddOuter(sh.w[j], sh.w[i])
+		for i := 0; i < sh.q; i++ { // M: R-R cross group sums
+			for _, wj := range sh.w[i+1:] {
+				perMatch.AddAxpy(wj)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
 	"factorml/internal/parallel"
@@ -372,6 +373,11 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 	if len(row.Fact) != st.p.Dims[0] {
 		out.Err = fmt.Sprintf("row has %d fact features, model %q wants %d", len(row.Fact), st.info.Name, st.p.Dims[0])
 		out.Code = api.CodeRowWidthMismatch
+		return
+	}
+	if i := linalg.NonFinite(row.Fact); i >= 0 {
+		out.Err = fmt.Sprintf("row has a non-finite fact feature %d (%v)", i, row.Fact[i])
+		out.Code = api.CodeNonFiniteFeature
 		return
 	}
 	if len(row.FKs) != e.nDirect {

@@ -1,15 +1,21 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"factorml/internal/api"
 	"factorml/internal/gmm"
 	"factorml/internal/linalg"
+	"factorml/internal/monitor"
 	"factorml/internal/serve"
 )
 
@@ -302,5 +308,96 @@ func TestBootingHandler(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&raw)
 		resp.Body.Close()
 		checkEnvelope(t, resp, raw, http.StatusServiceUnavailable, "not_ready")
+	}
+}
+
+// TestNonFinitePredictRowsRejected sends one binary (FMB1) predict that
+// mixes finite rows with NaN and ±Inf fact features to a monitored GMM and
+// NN. Each non-finite row answers the non_finite_feature row code, each
+// finite row is scored bit-identically to a request without the bad rows,
+// and the monitor's sketches end up exactly as on a server that saw only
+// the finite rows: no non-finite value reaches them.
+func TestNonFinitePredictRowsRejected(t *testing.T) {
+	db, spec := testStar(t, t.TempDir())
+	defer db.Close()
+	net, model := trainModels(t, db, spec)
+	finite, _ := factRows(t, spec, 3)
+	bad := func(v float64) serve.Row {
+		r := serve.Row{Fact: append([]float64{}, finite[0].Fact...), FKs: finite[0].FKs}
+		r.Fact[1] = v
+		return r
+	}
+	mixed := []serve.Row{finite[0], bad(math.NaN()), finite[1], bad(math.Inf(1)), bad(math.Inf(-1)), finite[2]}
+	models := []string{"m-gmm", "m-nn"}
+
+	// run predicts rows against both models on a fresh monitored server
+	// and returns the per-model predictions and the monitor's state.
+	run := func(rows []serve.Row) (map[string][]serve.Prediction, *monitor.State) {
+		reg, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1})
+		if err := reg.SaveGMM("m-gmm", model); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.SaveNN("m-nn", net); err != nil {
+			t.Fatal(err)
+		}
+		mon := monitor.New(monitor.Config{MinWindowRows: 1})
+		for _, name := range models {
+			kind := strings.TrimPrefix(name, "m-")
+			mon.Attach(name, kind, 1, &monitor.Lineage{TrainingRows: 1, Baseline: &monitor.Baseline{
+				CapturedAtUnix: 1, Rows: 1, Quality: monitor.NewSketch(-20, 20, 8),
+			}})
+		}
+		ts := httptest.NewServer(serve.NewServer(eng, serve.WithMonitor(mon)))
+		defer ts.Close()
+		body, err := serve.AppendBinaryRequest(nil, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]serve.Prediction)
+		for _, name := range models {
+			resp, err := http.Post(ts.URL+"/v1/models/"+name+"/predict", serve.BinaryContentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: binary predict = %d %v", name, resp.StatusCode, err)
+			}
+			_, preds, err := serve.DecodeBinaryResponse(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = preds
+		}
+		return out, mon.Snapshot()
+	}
+
+	want, wantState := run(finite)
+	got, gotState := run(mixed)
+	for _, name := range models {
+		fi := 0
+		for i, p := range got[name] {
+			if r := mixed[i].Fact[1]; math.IsNaN(r) || math.IsInf(r, 0) {
+				if p.Code != api.CodeNonFiniteFeature || p.Err == "" {
+					t.Errorf("%s row %d (%v): code %q err %q, want %q", name, i, r, p.Code, p.Err, api.CodeNonFiniteFeature)
+				}
+				continue
+			}
+			w := want[name][fi]
+			fi++
+			if p.Err != "" || math.Float64bits(p.LogProb) != math.Float64bits(w.LogProb) ||
+				math.Float64bits(p.Output) != math.Float64bits(w.Output) || p.Cluster != w.Cluster {
+				t.Errorf("%s row %d: %+v, want %+v as without the non-finite rows", name, i, p, w)
+			}
+		}
+	}
+	for _, ms := range gotState.Models {
+		if ms.Quality == nil || ms.Quality.Count != int64(len(finite)) || ms.Quality.NonFinite != 0 {
+			t.Errorf("%s quality sketch %+v, want %d finite observations", ms.Name, ms.Quality, len(finite))
+		}
+	}
+	if !reflect.DeepEqual(gotState, wantState) {
+		t.Errorf("monitor state after the mixed request\n%+v\nwant (finite rows only)\n%+v", gotState, wantState)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
 	"factorml/internal/plan"
@@ -567,7 +568,7 @@ func (s *Stream) ingestLocked(ctx context.Context, b Batch) (IngestResult, error
 			return res, valErrf("stream: batch dim %d: table %q takes %d features, got %d",
 				i, du.Table, s.p.Dims[1+j], len(du.Features))
 		}
-		if k := nonFinite(du.Features); k >= 0 {
+		if k := linalg.NonFinite(du.Features); k >= 0 {
 			return res, valErrf("stream: batch dim %d: table %q feature %d is %g, want a finite value",
 				i, du.Table, k, du.Features[k])
 		}
@@ -589,7 +590,7 @@ func (s *Stream) ingestLocked(ctx context.Context, b Batch) (IngestResult, error
 			return res, valErrf("stream: batch fact %d (sid %d): fact table takes %d features, got %d",
 				i, fr.SID, s.p.Dims[0], len(fr.Features))
 		}
-		if k := nonFinite(fr.Features); k >= 0 {
+		if k := linalg.NonFinite(fr.Features); k >= 0 {
 			return res, valErrf("stream: batch fact %d (sid %d): feature %d is %g, want a finite value",
 				i, fr.SID, k, fr.Features[k])
 		}
